@@ -9,9 +9,10 @@ from pathlib import Path
 
 from . import arrays, construct, fileio
 from .errors import ButsonError
+from .groups import GroupRingElt
 from .rings import chain_ring
 from .sums import unit_sum, zero_sum
-from .verify import materialize, verify_bh
+from .verify import invariance_witness, materialize, verify_bh
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,8 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify a matrix file")
     v.add_argument("file")
-    v.add_argument("--full", action="store_true", help="report all failures")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument(
+        "--full",
+        action="store_true",
+        help="check every row pair (all-pairs oracle); do not stop at the first failure",
+    )
     v.add_argument("--format", choices=["text", "json"], default="text")
 
     ea = sub.add_parser("export-array", help="convert an abelian matrix to an array")
@@ -83,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output matrix file (default stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument(
         "--unsafe-skip-verify",
         action="store_true",
@@ -94,7 +97,7 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
 def _emit_matrix(args, D, group) -> int:
     M = materialize(group, D)
     if not args.unsafe_skip_verify:
-        report = verify_bh(M, jobs=args.jobs)
+        report = verify_bh(M)
         if not report.ok:
             print(f"verification failed: {report.first_failure}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
@@ -138,12 +141,13 @@ def _cmd_local_lines(args) -> int:
 
 def _cmd_verify(args) -> int:
     M = fileio.read_matrix(args.file)
-    report = verify_bh(M, full=args.full, jobs=args.jobs)
+    report = verify_bh(M, full=args.full)
     payload = {
         "is_bh": report.is_bh,
         "is_invariant": report.is_invariant,
         "first_failure": report.first_failure,
         "timing_ms": report.timing_ms,
+        "pairs_checked": report.pairs_checked,
     }
     if args.format == "json":
         print(json.dumps(payload))
@@ -155,16 +159,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_array(args) -> int:
     M = fileio.read_matrix(args.file)
-    report = verify_bh(M)
-    if not report.is_invariant:
+    if invariance_witness(M) is not None:
         print("matrix is not group-invariant; no array exists", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     # the coefficient of g is the matrix entry at (g, identity)
-    exps = tuple(row[0] for row in M.exponents)
-    if M.group.abelian_factors is None:
-        raise ButsonError("array export needs an abelian group in factor form")
-    A = arrays.PerfectArray(M.group.abelian_factors, M.h, exps)
-    fileio.write_array(A, args.out)
+    D = GroupRingElt.from_exponents(M.group, M.h, [row[0] for row in M.exponents])
+    fileio.write_array(arrays.to_array(D), args.out)
     return EXIT_OK
 
 

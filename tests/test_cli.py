@@ -37,6 +37,9 @@ def test_verify_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_bh"] and payload["is_invariant"]
     assert payload["first_failure"] is None
+    assert payload["pairs_checked"] == 3
+    assert run("verify", str(out), "--full", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["pairs_checked"] == 6
 
 
 def test_verify_detects_mutation(tmp_path, capsys):
@@ -136,3 +139,20 @@ def test_unsafe_skip_verify_still_writes(tmp_path):
     assert run("construct", "group", "--order", "4", "--h", "2",
                "--out", str(out), "--unsafe-skip-verify") == 0
     assert run("verify", str(out)) == 0
+
+
+def test_export_array_exit_codes(tmp_path, capsys):
+    out = tmp_path / "z4.bh"
+    run("construct", "group", "--order", "4", "--h", "2", "--out", str(out))
+    lines = out.read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]  # rows 1 and 2: still BH, not invariant
+    out.write_text("\n".join(lines) + "\n")
+    arr = tmp_path / "z4.arr"
+    assert run("export-array", str(out), "--out", str(arr)) == 1
+    assert "not group-invariant" in capsys.readouterr().err
+    assert not arr.exists()
+    d4 = tmp_path / "d4.bh"
+    run("construct", "group", "--order", "8", "--h", "4",
+        "--group", "semidirect:4,2,3", "--out", str(d4))
+    assert run("export-array", str(d4), "--out", str(arr)) == 2
+    assert "NotAbelianFactored" in capsys.readouterr().err

@@ -6,11 +6,24 @@ import random
 
 import pytest
 
+from butson.construct import (
+    block_count,
+    construct_group_bh,
+    find_normal_cyclic_generator,
+    min_h,
+)
 from butson.errors import NonUnimodular
-from butson.groups import GroupRingElt, make_abelian, make_cyclic
+from butson.groups import (
+    GroupRingElt,
+    make_abelian,
+    make_cyclic,
+    make_from_table,
+    make_semidirect,
+)
 from butson.cyclotomic import CycInt
 from butson.verify import (
     BhMatrix,
+    invariance_witness,
     materialize,
     verify_bh,
     verify_by_characters,
@@ -56,10 +69,10 @@ def test_verify_full_and_jobs_agree():
     M = materialize(G, GroupRingElt.from_exponents(G, 2, [0, 0, 0, 1]))
     assert verify_bh(M).ok
     assert verify_bh(M, full=True).ok
-    assert verify_bh(M, jobs=2).ok
+    assert verify_bh(M, full=True).pairs_checked == 6
     bad = M.with_entry(0, 0, 1)
     assert not verify_bh(bad, full=True).ok
-    assert not verify_bh(bad, jobs=2).ok
+    assert verify_bh(bad).first_failure == verify_bh(bad, full=True).first_failure
 
 
 def test_all_verifiers_agree_on_gallery(instance_gallery):
@@ -98,3 +111,106 @@ def test_timing_reported():
     M = materialize(G, GroupRingElt.from_exponents(G, 2, [0, 0, 0, 1]))
     report = verify_bh(M)
     assert report.timing_ms >= 0.0
+
+
+def _group_instance(G):
+    n = G.order
+    h = min_h(n)
+    gen = find_normal_cyclic_generator(G, n // block_count(n, h))
+    return construct_group_bh(G, gen, h)
+
+
+def _relabelled(D, rng):
+    """D carried to a copy of its group relabelled by a bijection fixing 0."""
+    G, n = D.group, D.group.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    coeffs = [None] * n
+    for g in range(n):
+        coeffs[perm[g]] = D.coeffs[g]
+    return GroupRingElt(make_from_table(table, "table relabelled"), D.h, tuple(coeffs))
+
+
+@pytest.fixture(scope="module")
+def shortcut_cases(instance_gallery):
+    """Valid instances plus an extra non-abelian and a relabelled table group."""
+    semi = _group_instance(make_semidirect(16, 4, 15))
+    return list(instance_gallery) + [
+        ("semidirect-64", semi),
+        ("relabelled-semidirect-64", _relabelled(semi, random.Random(7))),
+    ]
+
+
+def _coefficient_mutants(D, rng, count):
+    exps = D.monomial_exponents()
+    for _ in range(count):
+        bad = list(exps)
+        g = rng.randrange(len(bad))
+        bad[g] = (bad[g] + rng.randrange(1, D.h)) % D.h
+        yield GroupRingElt.from_exponents(D.group, D.h, bad)
+
+
+def _same_verdict(a, b):
+    return (a.is_bh, a.is_invariant, a.first_failure) == (b.is_bh, b.is_invariant, b.first_failure)
+
+
+def test_shortcut_agrees_with_all_pairs_oracle(shortcut_cases):
+    rng = random.Random(20261018)
+    for name, D in shortcut_cases:
+        n = D.group.order
+        M = materialize(D.group, D)
+        fast, oracle = verify_bh(M), verify_bh(M, full=True)
+        assert fast.ok and _same_verdict(fast, oracle), name
+        assert fast.pairs_checked == n - 1, name
+        assert oracle.pairs_checked == n * (n - 1) // 2, name
+        for bad in _coefficient_mutants(D, rng, 3):
+            Mb = materialize(bad.group, bad)
+            fast, oracle = verify_bh(Mb), verify_bh(Mb, full=True)
+            assert fast.is_invariant and not fast.is_bh, name
+            assert _same_verdict(fast, oracle), name
+            assert fast.first_failure[:2] == ("rows", 0), name
+
+
+def _swap_rows(M, a, b):
+    rows = list(M.exponents)
+    rows[a], rows[b] = rows[b], rows[a]
+    return BhMatrix(M.h, M.group, tuple(rows))
+
+
+def _assert_genuine(M, witness):
+    g, k, l = witness
+    G, E = M.group, M.exponents
+    assert l == G.inv(k)
+    assert E[G.mul(g, l)][G.mul(k, l)] != E[g][k]
+
+
+def test_shortcut_needs_invariance(shortcut_cases):
+    # swapping two rows keeps the matrix BH but breaks invariance, so the
+    # n-1 shortcut must not run: every row pair is checked
+    for name, D in shortcut_cases:
+        n = D.group.order
+        swapped = _swap_rows(materialize(D.group, D), 1, 2)
+        report = verify_bh(swapped)
+        assert report.is_bh and not report.is_invariant, name
+        assert report.pairs_checked == n * (n - 1) // 2, name
+        assert report.first_failure[0] == "invariance", name
+        _assert_genuine(swapped, report.first_failure[1:])
+        assert invariance_witness(swapped) == report.first_failure[1:], name
+
+
+def test_invariance_witnesses_are_genuine(shortcut_cases):
+    rng = random.Random(5)
+    for name, D in shortcut_cases:
+        M = materialize(D.group, D)
+        assert invariance_witness(M) is None, name
+        n = D.group.order
+        for _ in range(5):
+            r, c = rng.randrange(n), rng.randrange(n)
+            bad = M.with_entry(r, c, M.exponents[r][c] + rng.randrange(1, D.h))
+            witness = invariance_witness(bad)
+            assert witness is not None, name
+            _assert_genuine(bad, witness)
+            assert verify_bh(bad).first_failure == ("invariance",) + witness, name
