@@ -87,20 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output matrix file (default stdout)")
-    p.add_argument(
-        "--unsafe-skip-verify",
-        action="store_true",
-        help="skip the final verification pass (benchmarking only)",
-    )
 
 
 def _emit_matrix(args, D, group) -> int:
     M = materialize(group, D)
-    if not args.unsafe_skip_verify:
-        report = verify_bh(M)
-        if not report.ok:
-            print(f"verification failed: {report.first_failure}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    report = verify_bh(M)
+    if not report.ok:
+        print(f"verification failed: {report.first_failure}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     text = fileio.format_matrix(M)
     if args.out:
         Path(args.out).write_text(text)
@@ -211,26 +205,23 @@ def _cmd_ring_info(args) -> int:
     return EXIT_OK
 
 
+# keyed by (command, construction); only `construct` has a construction
 _HANDLERS = {
     ("construct", "group"): _cmd_construct_group,
     ("construct", "local-partition"): _cmd_local_partition,
     ("construct", "local-lines"): _cmd_local_lines,
+    ("verify", None): _cmd_verify,
+    ("export-array", None): _cmd_export_array,
+    ("verify-array", None): _cmd_verify_array,
+    ("solve-sum", None): _cmd_solve_sum,
+    ("ring-info", None): _cmd_ring_info,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = _HANDLERS[(args.command, getattr(args, "construction", None))]
     try:
-        if args.command == "construct":
-            return _HANDLERS[(args.command, args.construction)](args)
-        handler = {
-            "verify": _cmd_verify,
-            "export-array": _cmd_export_array,
-            "verify-array": _cmd_verify_array,
-            "solve-sum": _cmd_solve_sum,
-            "ring-info": _cmd_ring_info,
-        }[args.command]
         return handler(args)
     except ButsonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .groups import (
     element_order,
     gr_conj_inv,
     gr_mul,
+    is_normal,
     make_abelian,
     make_cyclic,
 )
@@ -144,10 +145,7 @@ def construct_group_bh(
         raise WrongSubgroupOrder(
             f"need a cyclic subgroup of order {n // k}, got order {len(sub)}"
         )
-    subset = set(sub)
-    if any(
-        G.mul(G.mul(x, s), G.inv(x)) not in subset for x in G.elements() for s in sub
-    ):
+    if not is_normal(G, sub):
         raise NotNormal("the chosen cyclic subgroup is not normal")
 
     params = BlockParams.plan(n, m)
@@ -177,11 +175,7 @@ def find_normal_cyclic_generator(G: FiniteGroup, order: int) -> int:
     for g in G.elements():
         if element_order(G, g) != order:
             continue
-        sub = cyclic_subgroup(G, g)
-        subset = set(sub)
-        if all(
-            G.mul(G.mul(x, s), G.inv(x)) in subset for x in G.elements() for s in sub
-        ):
+        if is_normal(G, cyclic_subgroup(G, g)):
             return g
     raise WrongSubgroupOrder(f"no normal cyclic subgroup of order {order} in G")
 

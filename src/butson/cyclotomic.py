@@ -137,22 +137,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_rem_monic(p: list[int], d: list[int]) -> list[int]:
-    """Remainder of p modulo the monic polynomial d, exact over Z."""
-    assert d and d[-1] == 1
-    r = list(p)
-    dd = len(d) - 1
-    while len(r) > dd:
-        c = r.pop()
-        if c == 0:
-            continue
-        off = len(r) - dd
-        for i in range(dd):
-            r[off + i] -= c * d[i]
-    return _poly_trim(r)
-
-
 def _poly_divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of p by the monic polynomial d, exact over Z."""
     assert d and d[-1] == 1
     r = list(p)
     dd = len(d) - 1
@@ -199,7 +185,7 @@ def cyclotomic_poly(h: int) -> tuple[int, ...]:
 
 def is_zero(x: CycInt) -> bool:
     phi = list(cyclotomic_poly(x.h))
-    return not _poly_rem_monic(list(x.coeffs), phi)
+    return not _poly_divmod_monic(list(x.coeffs), phi)[1]
 
 
 def equals_integer(x: CycInt, n: int) -> bool:

@@ -1,9 +1,13 @@
 """Finite groups, their characters, and group rings over Z[zeta_h].
 
-Groups use a dense element encoding 0..order-1 with 0 the identity; the
-multiplication and inverse tables are precomputed so verification loops are
-table lookups.  Abelian groups built in invariant-factor form keep their
-factor list, which is what the character machinery consumes.
+Groups use a dense element encoding 0..order-1 with 0 the identity.  The
+Cayley table is one read-only (order, order) numpy array of np.intp, with
+table[a, b] = a*b, and the inverses one read-only (order,) array; builders
+fill the table with broadcast expressions, and consumers (materialize, the
+invariance check, the group-ring product, normality) gather through it as a
+whole.  `mul` and `inv` return Python ints.  Abelian groups built in
+invariant-factor form keep their factor list, which is what the character
+machinery consumes.
 """
 
 from __future__ import annotations
@@ -26,29 +30,26 @@ from .errors import (
 _VALIDATE_LIMIT = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    table: np.ndarray  # read-only (order, order) np.intp; table[a, b] = a*b
+    inverse: np.ndarray  # read-only (order,) np.intp
     descriptor: str
     abelian_factors: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return self.inverse.item(a)
 
     def elements(self) -> range:
         return range(self.order)
 
     @property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[a][b] == t[b][a] for a in range(self.order) for b in range(a + 1, self.order)
-        )
+        return np.array_equal(self.table, self.table.T)
 
     def exponent(self) -> int:
         out = 1
@@ -57,7 +58,7 @@ class FiniteGroup:
         return out
 
     def same_as(self, other: "FiniteGroup") -> bool:
-        return self is other or self.table == other.table
+        return self is other or np.array_equal(self.table, other.table)
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
@@ -75,31 +76,28 @@ def _check_axioms(table: np.ndarray) -> None:
     ident = np.arange(n)
     if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
         raise NotAGroup("element 0 is not a two-sided identity")
-    for a in range(n):
-        if len(set(table[a].tolist())) != n or len(set(table[:, a].tolist())) != n:
-            raise NotAGroup("table rows/columns are not permutations")
+    if (np.sort(table, axis=1) != ident).any() or (np.sort(table, axis=0).T != ident).any():
+        raise NotAGroup("table rows/columns are not permutations")
     for a in range(n):
         # (a*b)*c == a*(b*c) for all b, c, vectorized per a
         if not np.array_equal(table[table[a], :], table[a][table]):
             raise NotAGroup("multiplication is not associative")
-    for a in range(n):
-        b = int(np.where(table[a] == 0)[0][0])
-        if table[b][a] != 0:
-            raise NotAGroup(f"element {a} has no two-sided inverse")
+    right = np.nonzero(table == 0)[1]  # a * right[a] = 0
+    bad = np.nonzero(table[right, ident] != 0)[0]
+    if len(bad):
+        raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
 
-def _finish(table: list[list[int]], descriptor: str, factors=None, validate=True) -> FiniteGroup:
-    n = len(table)
-    arr = np.array(table, dtype=np.int64)
-    if validate and n <= _VALIDATE_LIMIT:
-        _check_axioms(arr)
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = int(np.where(arr[a] == 0)[0][0])
+def _finish(table: np.ndarray, descriptor: str, factors=None, validate=True) -> FiniteGroup:
+    """Freeze a built (n, n) np.intp table into a group; all builders end here."""
+    if validate and len(table) <= _VALIDATE_LIMIT:
+        _check_axioms(table)
+    inverse = np.nonzero(table == 0)[1]
+    table.flags.writeable = inverse.flags.writeable = False
     return FiniteGroup(
-        order=n,
-        table=tuple(tuple(row) for row in table),
-        inverse=tuple(inv),
+        order=len(table),
+        table=table,
+        inverse=inverse,
         descriptor=descriptor,
         abelian_factors=tuple(factors) if factors is not None else None,
     )
@@ -111,26 +109,10 @@ def make_abelian(factors) -> FiniteGroup:
     if not factors or any(f < 1 for f in factors):
         raise ValueError(f"bad factors {factors}")
     n = math.prod(factors)
-    strides = []
-    s = 1
-    for f in reversed(factors):
-        strides.append(s)
-        s *= f
-    strides.reverse()
-
-    def coords(i: int) -> tuple[int, ...]:
-        return tuple((i // st) % f for st, f in zip(strides, factors))
-
-    def index(c) -> int:
-        return sum(ci * st for ci, st in zip(c, strides))
-
-    table = [
-        [
-            index(tuple((x + y) % f for x, y, f in zip(coords(a), coords(b), factors)))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    table = np.zeros((n, n), dtype=np.intp)
+    for c, f in zip(np.unravel_index(np.arange(n), factors), factors):
+        table *= f
+        table += (c[:, None] + c[None, :]) % f
     desc = "abelian " + ",".join(str(f) for f in factors)
     if len(factors) == 1:
         desc = f"cyclic {factors[0]}"
@@ -166,29 +148,17 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
         raise InvalidAction("m and k must be positive")
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
-    tp = [pow(t, j, m) for j in range(k)]
-    n = m * k
-
-    def idx(i: int, j: int) -> int:
-        return i * k + j
-
-    table = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(k):
-            for i2 in range(m):
-                for j2 in range(k):
-                    table[idx(i, j)][idx(i2, j2)] = idx(
-                        (i + tp[j] * i2) % m, (j + j2) % k
-                    )
+    tp = np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
+    i, j = np.divmod(np.arange(m * k), k)  # element i*k + j is (i, j)
+    table = (i[:, None] + tp[j][:, None] * i) % m * k + (j[:, None] + j) % k
     return _finish(table, f"semidirect {m},{k},{t}")
 
 
 def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
     """Validate an explicit Cayley table; rejected unless the axioms pass."""
-    rows = [list(r) for r in table]
-    arr = np.array(rows, dtype=np.int64)
+    arr = np.array(table, dtype=np.intp)
     _check_axioms(arr)
-    return _finish(rows, descriptor, validate=False)
+    return _finish(arr, descriptor, validate=False)
 
 
 def parse_cayley_table(text: str) -> list[list[int]]:
@@ -210,19 +180,20 @@ def cyclic_subgroup(G: FiniteGroup, g: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def is_normal(G: FiniteGroup, sub) -> bool:
+    """True iff x s x^(-1) lies in sub for every x in G and s in sub."""
+    sub = np.asarray(sub, dtype=np.intp)
+    T = G.table
+    return bool(np.isin(T[T[:, sub], G.inverse[:, None]], sub).all())
+
+
 def normal_cyclic_subgroups(G: FiniteGroup) -> list[tuple[int, int]]:
     """All (generator, order) of normal cyclic subgroups, one per subgroup."""
-    seen: dict[frozenset, tuple[int, int]] = {}
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
     for g in G.elements():
         sub = cyclic_subgroup(G, g)
-        key = frozenset(sub)
-        if key in seen:
-            continue
-        normal = all(
-            G.mul(G.mul(x, s), G.inv(x)) in key for x in G.elements() for s in sub
-        )
-        if normal:
-            seen[key] = (g, len(sub))
+        if sub not in seen and is_normal(G, sub):
+            seen[sub] = (g, len(sub))
     return sorted(seen.values(), key=lambda t: (t[1], t[0]))
 
 
@@ -314,18 +285,16 @@ def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     G, h = x.group, x.h
     xe, ye = x.monomial_exponents(), y.monomial_exponents()
     if xe is not None and ye is not None:
-        # Unimodular fast path: accumulate exponent histograms per element.
-        hists = [[0] * h for _ in G.elements()]
-        for a, ea in enumerate(xe):
-            row = G.table[a]
-            for b, eb in enumerate(ye):
-                hists[row[b]][(ea + eb) % h] += 1
-        return GroupRingElt(G, h, tuple(CycInt(h, tuple(hi)) for hi in hists))
+        # Unimodular fast path: one histogram over (product a*b, exponent) cells.
+        xe, ye = np.array(xe), np.array(ye)
+        cells = G.table * h + (xe[:, None] + ye) % h
+        hists = np.bincount(cells.ravel(), minlength=G.order * h).reshape(G.order, h)
+        return GroupRingElt(G, h, tuple(CycInt(h, tuple(hi)) for hi in hists.tolist()))
     out = [CycInt.zero(h) for _ in G.elements()]
     for a, ca in enumerate(x.coeffs):
         if all(v == 0 for v in ca.coeffs):
             continue
-        row = G.table[a]
+        row = G.table[a].tolist()
         for b, cb in enumerate(y.coeffs):
             if all(v == 0 for v in cb.coeffs):
                 continue

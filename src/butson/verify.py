@@ -13,6 +13,7 @@ non-invariant input or when `full` is set, and serves as the oracle.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -61,10 +62,8 @@ def materialize(G: FiniteGroup, D: GroupRingElt) -> BhMatrix:
     exps = D.monomial_exponents()
     if exps is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
-    rows = tuple(
-        tuple(exps[G.mul(g, G.inv(k))] for k in G.elements()) for g in G.elements()
-    )
-    return BhMatrix(D.h, G, rows)
+    rows = np.array(exps)[G.table[:, G.inverse]]
+    return BhMatrix(D.h, G, tuple(map(tuple, rows.tolist())))
 
 
 def _row_pair_ok(E: np.ndarray, h: int, r1: int, r2: int) -> bool:
@@ -76,7 +75,7 @@ def _invariance_witness(E: np.ndarray, G: FiniteGroup) -> tuple[int, int, int] |
     # E is invariant iff E[g][k] == E[g k^(-1)][0] for all g, k.  Group tables
     # hold only 0..n-1, so mode="wrap" never wraps; it spares the copy of `out`
     # that numpy makes under the default mode="raise".
-    idx = np.array(G.table, dtype=np.intp)[:, G.inverse]
+    idx = G.table[:, G.inverse]
     np.take(E[:, 0], idx, out=idx, mode="wrap")
     bad = np.argwhere(idx != E)
     if len(bad) == 0:
@@ -109,9 +108,9 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
         first_failure = ("invariance",) + witness
 
     if is_invariant and not full:
-        pairs = [(0, g) for g in range(1, n)]
+        pairs = ((0, g) for g in range(1, n))
     else:
-        pairs = [(r1, r2) for r1 in range(n) for r2 in range(r1 + 1, n)]
+        pairs = itertools.combinations(range(n), 2)
     is_bh = True
     checked = 0
     for pr in pairs:

@@ -134,13 +134,6 @@ def test_ring_info(capsys):
     assert info["additive_type"] == [2, 2, 2]
 
 
-def test_unsafe_skip_verify_still_writes(tmp_path):
-    out = tmp_path / "z4.bh"
-    assert run("construct", "group", "--order", "4", "--h", "2",
-               "--out", str(out), "--unsafe-skip-verify") == 0
-    assert run("verify", str(out)) == 0
-
-
 def test_export_array_exit_codes(tmp_path, capsys):
     out = tmp_path / "z4.bh"
     run("construct", "group", "--order", "4", "--h", "2", "--out", str(out))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from butson.groups import (
     gr_conj_inv,
     gr_equal,
     gr_mul,
+    is_normal,
     make_abelian,
     make_cyclic,
     make_from_table,
@@ -61,6 +63,79 @@ def test_dihedral_group():
     G = make_semidirect(4, 2, 3)
     assert G.order == 8 and not G.is_abelian
     assert order_histogram(G) == {1: 1, 2: 5, 4: 2}
+
+
+@pytest.mark.parametrize("factors", [[1], [6], [2, 3], [3, 3], [2, 3, 4]])
+def test_make_abelian_table_matches_definition(factors):
+    G = make_abelian(factors)
+    for a in G.elements():
+        ca = abelian_coords(G, a)
+        for b in G.elements():
+            cb = abelian_coords(G, b)
+            want = abelian_index(G, [x + y for x, y in zip(ca, cb)])
+            assert G.mul(a, b) == want
+        assert G.mul(a, G.inv(a)) == 0 == G.mul(G.inv(a), a)
+
+
+@pytest.mark.parametrize("m,k,t", [(1, 1, 0), (3, 2, 2), (4, 2, 3), (7, 3, 2), (5, 4, 2)])
+def test_make_semidirect_table_matches_definition(m, k, t):
+    G = make_semidirect(m, k, t)
+    assert G.order == m * k
+    for a in G.elements():
+        i, j = divmod(a, k)
+        for b in G.elements():
+            i2, j2 = divmod(b, k)
+            assert G.mul(a, b) == (i + t**j * i2) % m * k + (j + j2) % k
+        assert G.mul(a, G.inv(a)) == 0 == G.mul(G.inv(a), a)
+
+
+def test_tables_are_read_only_and_mul_returns_int(q8_table):
+    src = np.array(q8_table)
+    groups = [make_cyclic(6), make_abelian([2, 4]), make_semidirect(4, 2, 3),
+              make_from_table(src)]
+    assert src.flags.writeable  # the group keeps its own copy
+    for G in groups:
+        assert not G.table.flags.writeable and not G.inverse.flags.writeable
+        with pytest.raises(ValueError):
+            G.table[0, 0] = 1
+        with pytest.raises(ValueError):
+            G.inverse[0] = 1
+        assert type(G.mul(1, 2)) is int and type(G.inv(1)) is int
+
+
+def _normal_by_definition(G, sub):
+    members = set(sub)
+    return all(G.mul(G.mul(x, s), G.inv(x)) in members for x in G.elements() for s in sub)
+
+
+def test_is_normal_matches_definition(q8_table):
+    S3 = make_semidirect(3, 2, 2)  # element 2i + j is (i, j)
+    D4 = make_semidirect(4, 2, 3)
+    # the order-2 subgroups of S3 and a reflection subgroup of D4 are not normal
+    for G, sub in [(S3, (0, 1)), (S3, (0, 3)), (S3, (0, 5)), (D4, (0, 1))]:
+        assert not is_normal(G, sub) and not _normal_by_definition(G, sub)
+    # rotations, the centre, a Klein four-group and the whole group are
+    for G, sub in [(S3, (0, 2, 4)), (D4, (0, 2, 4, 6)), (D4, (0, 4)), (D4, (0, 1, 4, 5)),
+                   (D4, tuple(D4.elements()))]:
+        assert is_normal(G, sub) and _normal_by_definition(G, sub)
+    for G in (S3, D4, make_from_table(q8_table), make_abelian([2, 4])):
+        for g in G.elements():
+            sub = cyclic_subgroup(G, g)
+            assert is_normal(G, sub) == _normal_by_definition(G, sub)
+
+
+def test_same_as_compares_tables(q8_table):
+    G = make_from_table(q8_table)
+    assert G.same_as(G) and G.same_as(make_from_table(q8_table))
+    # swap i <-> j and -i <-> -j: an isomorphic group with another table
+    perm = [0, 2, 1, 3, 4, 6, 5, 7]
+    relabelled = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            relabelled[perm[a]][perm[b]] = perm[q8_table[a][b]]
+    H = make_from_table(relabelled)
+    assert not G.same_as(H) and not H.same_as(G)
+    assert not make_cyclic(8).same_as(make_abelian([2, 4]))
 
 
 def test_semidirect_rejects_bad_action():
@@ -155,16 +230,16 @@ def test_conj_inverse_transform(x, y):
 
 
 def test_monomial_and_generic_multiply_agree():
-    G = make_cyclic(6)
-    x = GroupRingElt.from_exponents(G, 4, [0, 1, 2, 3, 0, 1])
-    y = GroupRingElt.from_exponents(G, 4, [3, 3, 0, 1, 2, 2])
-    fast = gr_mul(x, y)
-    # force the generic path by adding a zero non-monomial perturbation
-    bulk = GroupRingElt(G, 4, tuple(c + CycInt.zero(4) - CycInt.zero(4)
-                                    for c in x.coeffs))
-    slow = gr_mul(GroupRingElt(G, 4, tuple(x.coeffs)), y)
-    assert gr_equal(fast, slow)
-    assert gr_equal(gr_mul(bulk, y), fast)
+    # 1 + zeta_4^2 = 0: adding it to a coefficient keeps the value but not the
+    # single-root form, which forces the generic path
+    vanishing = CycInt(4, (1, 0, 1, 0))
+    for G in (make_cyclic(6), make_semidirect(3, 2, 2)):
+        x = GroupRingElt.from_exponents(G, 4, [0, 1, 2, 3, 0, 1])
+        y = GroupRingElt.from_exponents(G, 4, [3, 3, 0, 1, 2, 2])
+        bulk = GroupRingElt(G, 4, (x.coeffs[0] + vanishing,) + x.coeffs[1:])
+        assert bulk.monomial_exponents() is None
+        assert gr_equal(gr_mul(bulk, y), gr_mul(x, y))
+        assert gr_equal(gr_mul(y, bulk), gr_mul(y, x))
 
 
 def test_apply_char_is_multiplicative():

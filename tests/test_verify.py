@@ -40,6 +40,16 @@ def test_materialize_frozen_example():
     assert verify_bh(M).ok
 
 
+def test_materialize_matches_definition():
+    G = make_semidirect(4, 2, 3)  # D4: g k^(-1) differs from k^(-1) g
+    exps = [0, 3, 1, 2, 2, 0, 3, 1]
+    M = materialize(G, GroupRingElt.from_exponents(G, 4, exps))
+    assert M.exponents == tuple(
+        tuple(exps[G.mul(g, G.inv(k))] for k in G.elements()) for g in G.elements()
+    )
+    assert all(type(e) is int for row in M.exponents for e in row)
+
+
 def test_materialize_rejects_non_unimodular():
     G = make_cyclic(2)
     D = GroupRingElt(G, 4, (CycInt.integer(4, 2), CycInt.root(4, 1)))
