@@ -1,6 +1,6 @@
 """Group-invariant Butson Hadamard matrices: construction and exact verification."""
 
-from .cyclotomic import CycInt, RootExp, cyclotomic_poly, equals_integer, gauss_sum, is_zero, norm_sq
+from .cyclotomic import CycInt, cyclotomic_poly, equals_integer, gauss_sum, is_zero, norm_sq
 from .groups import FiniteGroup, GroupRingElt, make_abelian, make_cyclic, make_from_table, make_semidirect
 from .rings import ChainRing, chain_ring
 from .verify import BhMatrix, VerifyReport, materialize, verify_bh, verify_group_ring
@@ -13,7 +13,6 @@ __all__ = [
     "FiniteGroup",
     "GroupRingElt",
     "PerfectArray",
-    "RootExp",
     "VerifyReport",
     "autocorrelation",
     "chain_ring",

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import arrays, construct, fileio
-from .errors import ButsonError
+from .errors import ButsonError, SelfCheckFailed
 from .groups import GroupRingElt
 from .rings import chain_ring
 from .sums import unit_sum, zero_sum
@@ -108,12 +108,7 @@ def _cmd_construct_group(args) -> int:
     G = fileio.parse_group_spec(spec, base_dir=Path.cwd())
     if G.order != args.order:
         raise ButsonError(f"group has order {G.order}, expected {args.order}")
-    h0 = construct.min_h(G.order)
-    if args.h % h0 != 0:
-        raise ButsonError(
-            f"h={args.h} is not a multiple of the minimal root order {h0}"
-        )
-    k = construct.block_count(G.order, h0)
+    k = construct.block_count(G.order, construct.min_h(G.order))
     gen = construct.find_normal_cyclic_generator(G, G.order // k)
     D = construct.construct_group_bh(G, gen, args.h, m=args.m)
     return _emit_matrix(args, D, G)
@@ -186,13 +181,12 @@ def _cmd_solve_sum(args) -> int:
 
 def _cmd_ring_info(args) -> int:
     R = chain_ring(args.family, args.p, args.d, args.n)
-    G, _, _ = R.additive_group()
     info = {
         "ring": R.describe(),
         "order": R.size,
         "units": R.size - R.p ** (R.d * (R.n - 1)),
         "ideal_sizes": [len(R.ideal_elements(t)) for t in range(R.n + 1)],
-        "additive_type": list(G.abelian_factors),
+        "additive_type": list(R.additive_factors),
     }
     if args.format == "json":
         print(json.dumps(info))
@@ -223,6 +217,9 @@ def main(argv=None) -> int:
     handler = _HANDLERS[(args.command, getattr(args, "construction", None))]
     try:
         return handler(args)
+    except SelfCheckFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except ButsonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

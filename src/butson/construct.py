@@ -27,6 +27,7 @@ from .errors import (
     NoSolution,
     NotNormal,
     SchemeViolation,
+    SelfCheckFailed,
     UnsupportedRing,
     WrongSubgroupOrder,
 )
@@ -137,8 +138,8 @@ def construct_group_bh(
     """BH element over G from blocks along a normal cyclic subgroup."""
     n = G.order
     h0 = min_h(n)
-    if h % h0 != 0:
-        raise BadH(f"h={h} is not a multiple of the minimal order {h0} for n={n}")
+    if h < 1 or h % h0 != 0:
+        raise BadH(f"h={h} is not a positive multiple of the minimal order {h0} for n={n}")
     k = block_count(n, h0)
     sub = cyclic_subgroup(G, subgroup_generator)
     if len(sub) != n // k:
@@ -165,8 +166,13 @@ def construct_group_bh(
             g = G.mul(x, rep)
             assert exps[g] is None
             exps[g] = (bexps[j] * scale) % h
-    D = GroupRingElt.from_exponents(G, h, exps)
-    assert verify_group_ring(D)
+    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
+
+
+def _self_checked(D: GroupRingElt) -> GroupRingElt:
+    """D itself, once D D^(-1) = |G| holds exactly; survives python -O."""
+    if not verify_group_ring(D):
+        raise SelfCheckFailed(f"the element built over {D.group.descriptor} fails D D^(-1) = |G|")
     return D
 
 
@@ -229,12 +235,11 @@ def _check_partition(R: ChainRing, parts, expected: int) -> None:
 
 def ring_square_group(R: ChainRing):
     """Additive group of R x R with element index (x, y) -> idx(x)*|R|+idx(y)."""
-    G_single, to_index, _ = R.additive_group()
-    factors = G_single.abelian_factors * 2
-    G = make_abelian(factors)
+    G = make_abelian(R.additive_factors * 2)
+    index = R.index
 
     def pair_index(x, y) -> int:
-        return to_index[x] * R.size + to_index[y]
+        return index[x] * R.size + index[y]
 
     return G, pair_index
 
@@ -258,9 +263,7 @@ def construct_partition_bh(
         fx = R.phi(x)
         for y in R.elements:
             exps[pair_index(x, y)] = etas[part_of[R.mul(fx, y)]]
-    D = GroupRingElt.from_exponents(G, h, exps)
-    assert verify_group_ring(D)
-    return D
+    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
 
 
 # -- construction 3: line family over R x R ----------------------------------
@@ -428,9 +431,7 @@ def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> GroupRingElt:
         exps.append(e)
     if exps[pair_index(R.zero, R.zero)] != scheme.eta:
         raise SchemeViolation("coefficient of (0,0) does not equal eta")
-    D = GroupRingElt.from_exponents(G, h, exps)
-    assert verify_group_ring(D)
-    return D
+    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
 
 
 def _collapse_to_root(c: CycInt) -> int | None:

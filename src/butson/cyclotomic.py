@@ -15,19 +15,6 @@ from .errors import NotOdd, OrderMismatch
 
 
 @dataclass(frozen=True)
-class RootExp:
-    """A single root of unity zeta_h^e, stored with 0 <= e < h."""
-
-    h: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.h < 1:
-            raise ValueError(f"root order must be positive, got {self.h}")
-        object.__setattr__(self, "e", self.e % self.h)
-
-
-@dataclass(frozen=True)
 class CycInt:
     """An element of Z[zeta_h]: value = sum_j coeffs[j] * zeta_h^j."""
 
@@ -51,14 +38,11 @@ class CycInt:
         return cls(h, (n,) + (0,) * (h - 1))
 
     @classmethod
-    def from_root(cls, r: RootExp) -> "CycInt":
-        c = [0] * r.h
-        c[r.e] = 1
-        return cls(r.h, tuple(c))
-
-    @classmethod
     def root(cls, h: int, e: int) -> "CycInt":
-        return cls.from_root(RootExp(h, e))
+        """zeta_h^e, the exponent taken mod h."""
+        c = [0] * h
+        c[e % h] = 1
+        return cls(h, tuple(c))
 
     def _check(self, other: "CycInt") -> None:
         if self.h != other.h:
@@ -190,10 +174,6 @@ def is_zero(x: CycInt) -> bool:
 
 def equals_integer(x: CycInt, n: int) -> bool:
     return is_zero(x - CycInt.integer(x.h, n))
-
-
-def cyc_equal(x: CycInt, y: CycInt) -> bool:
-    return is_zero(x - y)
 
 
 def norm_sq(x: CycInt) -> CycInt:

@@ -49,12 +49,8 @@ class UnsupportedRing(ButsonError):
     """Ring parameters outside the supported families or constructions."""
 
 
-class NoSuitableCharacter(ButsonError):
-    """No additive character nontrivial on the minimal ideal was found."""
-
-
 class InvalidParams(ButsonError):
-    """Building-block parameters violate the case preconditions."""
+    """Parameters of a builder, a sum or the building blocks are out of range."""
 
 
 class BadH(ButsonError):
@@ -91,3 +87,7 @@ class NonUnimodular(ButsonError):
 
 class NotAbelianFactored(ButsonError):
     """Array export needs an abelian group in explicit factor form."""
+
+
+class SelfCheckFailed(ButsonError):
+    """A constructor's exact check of its own output failed."""

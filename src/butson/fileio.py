@@ -17,10 +17,11 @@ Table paths are resolved relative to the matrix file's directory.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from .arrays import PerfectArray
-from .errors import ButsonError
+from .errors import ButsonError, NotAGroup
 from .groups import (
     FiniteGroup,
     make_abelian,
@@ -32,26 +33,59 @@ from .groups import (
 from .verify import BhMatrix
 
 
+@contextmanager
+def _reading(path: Path):
+    """Report an unreadable or malformed file as a ButsonError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ButsonError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ButsonError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None
+
+
+def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
+    """h, the other header fields and the non-blank body lines of a data file."""
+    with _reading(path):
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        if not lines or lines[0].split()[0] != tag:
+            raise ButsonError(f"{path}: not {what} file")
+        fields = dict(kv.split("=") for kv in lines[0].split()[1:])
+        h = int(fields.pop("h"))
+    if h < 1:
+        raise ButsonError(f"{path}: h must be positive, got {h}")
+    return h, fields, lines[1:]
+
+
 def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
     """Build a group from a descriptor like 'cyclic 4' or 'semidirect 4,2,3'."""
     parts = spec.replace(":", " ").split(None, 1)
     if len(parts) != 2:
         raise ButsonError(f"bad group descriptor {spec!r}")
     kind, arg = parts[0], parts[1].strip()
-    if kind == "cyclic":
-        return make_cyclic(int(arg))
-    if kind == "abelian":
-        return make_abelian([int(x) for x in arg.split(",")])
-    if kind == "semidirect":
-        m, k, t = (int(x) for x in arg.split(","))
-        return make_semidirect(m, k, t)
     if kind == "table":
         path = Path(arg)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        table = parse_cayley_table(path.read_text())
-        return make_from_table(table, descriptor=f"table {arg}")
-    raise ButsonError(f"unknown group kind {kind!r}")
+        with _reading(path):
+            text = path.read_text()
+        try:
+            return make_from_table(parse_cayley_table(text), descriptor=f"table {arg}")
+        except NotAGroup as exc:
+            raise NotAGroup(f"{path}: {exc}") from None
+    if kind not in ("cyclic", "abelian", "semidirect"):
+        raise ButsonError(f"unknown group kind {kind!r}")
+    try:
+        nums = [int(x) for x in arg.split(",")]
+    except ValueError:
+        raise ButsonError(f"bad group descriptor {spec!r}") from None
+    if kind == "abelian":
+        return make_abelian(nums)
+    if kind == "cyclic" and len(nums) == 1:
+        return make_cyclic(nums[0])
+    if kind == "semidirect" and len(nums) == 3:
+        return make_semidirect(*nums)
+    raise ButsonError(f"bad group descriptor {spec!r}")
 
 
 def format_matrix(M: BhMatrix) -> str:
@@ -61,22 +95,16 @@ def format_matrix(M: BhMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(M: BhMatrix, path: str | Path) -> None:
-    Path(path).write_text(format_matrix(M))
-
-
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "bh":
-        raise ButsonError(f"{path}: not a matrix file")
-    fields = dict(kv.split("=") for kv in head[1:])
-    h, order = int(fields["h"]), int(fields["order"])
-    group = parse_group_spec(lines[1], base_dir=path.parent)
+    h, fields, lines = _read_file(path, "bh", "a matrix")
+    with _reading(path):
+        order = int(fields["order"])
+        spec = lines[0]
+        rows = [tuple(int(x) % h for x in ln.split()) for ln in lines[1 : 1 + order]]
+    group = parse_group_spec(spec, base_dir=path.parent)
     if group.order != order:
         raise ButsonError(f"{path}: order header disagrees with the group")
-    rows = [tuple(int(x) % h for x in ln.split()) for ln in lines[2 : 2 + order]]
     if len(rows) != order or any(len(r) != order for r in rows):
         raise ButsonError(f"{path}: expected {order} rows of {order} exponents")
     return BhMatrix(h, group, tuple(rows))
@@ -98,14 +126,10 @@ def write_array(A: PerfectArray, path: str | Path) -> None:
 
 def read_array(path: str | Path) -> PerfectArray:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "array":
-        raise ButsonError(f"{path}: not an array file")
-    fields = dict(kv.split("=") for kv in head[1:])
-    h = int(fields["h"])
-    dims = tuple(int(x) for x in fields["dims"].split(","))
-    flat = [int(x) % h for ln in lines[1:] for x in ln.split()]
+    h, fields, lines = _read_file(path, "array", "an array")
+    with _reading(path):
+        dims = tuple(int(x) for x in fields["dims"].split(","))
+        flat = [int(x) % h for ln in lines for x in ln.split()]
     if len(flat) != math.prod(dims):
         raise ButsonError(f"{path}: entry count does not match dims")
     return PerfectArray(dims, h, tuple(flat))

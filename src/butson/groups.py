@@ -8,12 +8,17 @@ invariance check, the group-ring product, normality) gather through it as a
 whole.  `mul` and `inv` return Python ints.  Abelian groups built in
 invariant-factor form keep their factor list, which is what the character
 machinery consumes.
+
+Only `make_from_table` checks the group axioms: a table from outside is the
+one input that can fail them.  `make_abelian` and `make_semidirect` reject
+bad parameters and then build groups by construction, so they skip the
+O(n^3) check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +26,12 @@ from .cyclotomic import CycInt, is_zero
 from .errors import (
     GroupMismatch,
     InvalidAction,
+    InvalidParams,
     NotAbelian,
     NotAGroup,
     NotASubgroup,
     OrderMismatch,
 )
-
-_VALIDATE_LIMIT = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +54,6 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
-
-    def exponent(self) -> int:
-        out = 1
-        for g in self.elements():
-            out = math.lcm(out, element_order(self, g))
-        return out
 
     def same_as(self, other: "FiniteGroup") -> bool:
         return self is other or np.array_equal(self.table, other.table)
@@ -88,10 +86,8 @@ def _check_axioms(table: np.ndarray) -> None:
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
 
-def _finish(table: np.ndarray, descriptor: str, factors=None, validate=True) -> FiniteGroup:
-    """Freeze a built (n, n) np.intp table into a group; all builders end here."""
-    if validate and len(table) <= _VALIDATE_LIMIT:
-        _check_axioms(table)
+def _finish(table: np.ndarray, descriptor: str, factors=None) -> FiniteGroup:
+    """Freeze a group's (n, n) np.intp table; all builders end here."""
     inverse = np.nonzero(table == 0)[1]
     table.flags.writeable = inverse.flags.writeable = False
     return FiniteGroup(
@@ -107,7 +103,7 @@ def make_abelian(factors) -> FiniteGroup:
     """Direct product Z_n1 x ... x Z_nk, row-major element indexing."""
     factors = tuple(int(f) for f in factors)
     if not factors or any(f < 1 for f in factors):
-        raise ValueError(f"bad factors {factors}")
+        raise InvalidParams(f"abelian factors must be positive, got {factors}")
     n = math.prod(factors)
     table = np.zeros((n, n), dtype=np.intp)
     for c, f in zip(np.unravel_index(np.arange(n), factors), factors):
@@ -158,15 +154,18 @@ def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
     """Validate an explicit Cayley table; rejected unless the axioms pass."""
     arr = np.array(table, dtype=np.intp)
     _check_axioms(arr)
-    return _finish(arr, descriptor, validate=False)
+    return _finish(arr, descriptor)
 
 
 def parse_cayley_table(text: str) -> list[list[int]]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("order"):
         raise NotAGroup("cayley table file must start with 'order n'")
-    n = int(lines[0].split()[1])
-    rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    try:
+        n = int(lines[0].split()[1])
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    except (IndexError, ValueError):
+        raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise NotAGroup(f"expected {n} rows of {n} entries")
     return rows
@@ -185,16 +184,6 @@ def is_normal(G: FiniteGroup, sub) -> bool:
     sub = np.asarray(sub, dtype=np.intp)
     T = G.table
     return bool(np.isin(T[T[:, sub], G.inverse[:, None]], sub).all())
-
-
-def normal_cyclic_subgroups(G: FiniteGroup) -> list[tuple[int, int]]:
-    """All (generator, order) of normal cyclic subgroups, one per subgroup."""
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
-    for g in G.elements():
-        sub = cyclic_subgroup(G, g)
-        if sub not in seen and is_normal(G, sub):
-            seen[sub] = (g, len(sub))
-    return sorted(seen.values(), key=lambda t: (t[1], t[0]))
 
 
 def coset_reps(G: FiniteGroup, subgroup) -> list[int]:

@@ -8,18 +8,17 @@ Two families are supported:
 
 Elements are canonical coordinate tuples: galois elements are d coefficients
 mod p^n; truncated elements are n coefficients, each itself a degree-<d
-coordinate tuple mod p.  All arithmetic is exact.
+coordinate tuple mod p.  All arithmetic is exact.  `elements` lists the
+flattened coordinates in row-major order over `additive_factors`, so
+`index` is also the element index of make_abelian(additive_factors).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import NoSuitableCharacter, NotAUnit, UnsupportedRing
-from .groups import FiniteGroup, make_abelian
+from .errors import NotAUnit, UnsupportedRing
 
 
 def _poly_mod_mul(a, b, modulus, p):
@@ -68,17 +67,6 @@ def irreducible_poly(p: int, d: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {d} mod {p}")
 
 
-@dataclass(frozen=True)
-class AdditiveCharacter:
-    """tau(x) = zeta_order^exponent(x); nontrivial on the minimal ideal."""
-
-    order: int
-    _exp_map: dict
-
-    def exponent(self, x) -> int:
-        return self._exp_map[x]
-
-
 class ChainRing:
     """A finite local chain ring from one of the two supported families."""
 
@@ -91,12 +79,12 @@ class ChainRing:
         self.p, self.d, self.n = p, d, n
         self.size = p ** (d * n)
         if family == "galois":
-            self.m, self.a, self.b = 1, n, 0
             self.pa = p**n  # coordinate modulus
             self.modulus = irreducible_poly(p, d)
+            self.additive_factors = (self.pa,) * d
         else:
-            self.m, self.a, self.b = n, 1, 0
             self.field_modulus = irreducible_poly(p, d)
+            self.additive_factors = (p,) * (d * n)
         self.elements = self._enumerate()
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = self.elements[0]
@@ -142,9 +130,6 @@ class ChainRing:
         if self.family == "galois":
             return tuple((-a) % self.pa for a in x)
         return tuple(tuple((-a) % self.p for a in cx) for cx in x)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
         if self.family == "galois":
@@ -247,43 +232,6 @@ class ChainRing:
             assert len(cur) == self.p ** (self.d * (i + 1))
             chain.append(cur)
         return chain
-
-    def additive_group(self) -> tuple[FiniteGroup, dict, list]:
-        """The additive group in factor form with an explicit index bijection."""
-        if self.family == "galois":
-            factors = (self.pa,) * self.d
-
-            def flat(x):
-                return x
-        else:
-            factors = (self.p,) * (self.d * self.n)
-
-            def flat(x):
-                return tuple(a for c in x for a in c)
-
-        G = make_abelian(factors)
-        to_index = {}
-        from_index = [None] * self.size
-        for x in self.elements:
-            i = 0
-            for c, f in zip(flat(x), factors):
-                i = i * f + c
-            to_index[x] = i
-            from_index[i] = x
-        return G, to_index, from_index
-
-    def base_character(self) -> AdditiveCharacter:
-        """A fixed additive character nontrivial on I^(n-1)."""
-        if self.family == "galois":
-            order = self.pa
-            exp_map = {x: x[0] % order for x in self.elements}
-        else:
-            order = self.p
-            exp_map = {x: x[self.n - 1][0] % order for x in self.elements}
-        tau = AdditiveCharacter(order, exp_map)
-        if all(tau.exponent(x) == 0 for x in self.ideal_elements(self.n - 1)):
-            raise NoSuitableCharacter("character trivial on I^(n-1)")
-        return tau
 
     def describe(self) -> str:
         if self.family == "galois":

@@ -8,12 +8,11 @@ are deterministic and verified exactly before being handed back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .cyclotomic import CycInt, is_zero
-from .errors import NoDecomposition, NoSolution
+from .errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
 
 _SEARCH_CAP = 10**7
 _SEARCH_MAX_LEN = 6
@@ -47,6 +46,13 @@ class SumWitness:
         if self.target is None:
             return is_zero(v)
         return is_zero(v - CycInt.root(self.h, self.target))
+
+
+def _checked(w: SumWitness) -> SumWitness:
+    """w itself, once its sum holds exactly; survives python -O."""
+    if not w.check():
+        raise SelfCheckFailed(f"roots {w.exps} of order {w.h} miss their target {w.target}")
+    return w
 
 
 def prime_divisors(h: int) -> tuple[int, ...]:
@@ -90,8 +96,8 @@ def semigroup_member(L: int, primes) -> SemigroupCert | None:
 
 def zero_sum(L: int, h: int) -> SumWitness:
     """L order-h roots summing to zero, built from full prime cycles."""
-    if L < 1:
-        raise ValueError("L must be positive")
+    if L < 1 or h < 1:
+        raise InvalidParams(f"need L >= 1 and h >= 1, got L={L}, h={h}")
     primes = prime_divisors(h)
     cert = semigroup_member(L, primes)
     if cert is None:
@@ -100,23 +106,19 @@ def zero_sum(L: int, h: int) -> SumWitness:
     for p, a in zip(cert.primes, cert.multipliers):
         cycle = [j * h // p for j in range(p)]
         exps.extend(cycle * a)
-    w = SumWitness(h, tuple(exps), None)
-    assert w.check()
-    return w
+    return _checked(SumWitness(h, tuple(exps), None))
 
 
 def unit_sum(L: int, h: int, target: int) -> SumWitness:
     """L order-h roots summing to zeta_h^target."""
-    if L < 1:
-        raise ValueError("L must be positive")
+    if L < 1 or h < 1:
+        raise InvalidParams(f"need L >= 1 and h >= 1, got L={L}, h={h}")
     target %= h
     if L == 1:
         return SumWitness(h, (target,), target)
     try:
         zs = zero_sum(L - 1, h)
-        w = SumWitness(h, (target,) + zs.exps, target)
-        assert w.check()
-        return w
+        return _checked(SumWitness(h, (target,) + zs.exps, target))
     except NoDecomposition:
         pass
     if h % 6 == 0:
@@ -129,9 +131,7 @@ def unit_sum(L: int, h: int, target: int) -> SumWitness:
             except NoDecomposition:
                 exps = None
         if exps is not None:
-            w = SumWitness(h, tuple(exps), target)
-            assert w.check()
-            return w
+            return _checked(SumWitness(h, tuple(exps), target))
     if L <= _SEARCH_MAX_LEN and h**L <= _SEARCH_CAP:
         goal = CycInt.root(h, target)
         for combo in combinations_with_replacement(range(h), L):

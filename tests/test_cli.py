@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from butson import construct
 from butson.cli import main
 
 from conftest import quaternion_table
@@ -77,6 +78,39 @@ def test_bad_params_exit_codes(capsys):
     assert "WrongSubgroupOrder" in capsys.readouterr().err
     # h not a multiple of the minimal root order
     assert run("construct", "group", "--order", "4", "--h", "3") == 2
+    assert "BadH" in capsys.readouterr().err
+
+
+_MALFORMED = {
+    # id: (contents of input.txt or None, argv; {file} is input.txt)
+    "cyclic-0": (None, ["construct", "group", "--order", "4", "--h", "2", "--group", "cyclic:0"]),
+    "abelian-x": (None, ["construct", "group", "--order", "4", "--h", "2", "--group", "abelian:2,x"]),
+    "missing-table": (None, ["construct", "group", "--order", "4", "--h", "2",
+                             "--group", "table:missing.txt"]),
+    "header-h-x": ("bh h=x order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
+    "empty-file": ("", ["verify", "{file}"]),
+    "h-0": ("bh h=0 order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
+    "dims-x": ("array h=2 dims=2,x\n0 1\n", ["verify-array", "{file}"]),
+    "length-0": (None, ["solve-sum", "--length", "0", "--order", "6"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_exits_2(case, tmp_path, monkeypatch, capsys):
+    text, argv = _MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input.txt").write_text(text)
+    # main must return, not raise
+    assert run(*(a.format(file=tmp_path / "input.txt") for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_self_check_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(construct, "verify_group_ring", lambda D: False)
+    assert run("construct", "group", "--order", "4", "--h", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("verification failed:") and captured.out == ""
 
 
 def test_local_partition_round_trip(tmp_path, capsys):

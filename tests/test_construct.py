@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from butson import construct
 from butson.construct import (
     BlockParams,
     block_count,
@@ -29,6 +35,7 @@ from butson.errors import (
     InvalidParams,
     NoScheme,
     NotNormal,
+    SelfCheckFailed,
     UnsupportedRing,
     WrongSubgroupOrder,
 )
@@ -298,3 +305,48 @@ def test_ring_square_group_indexing():
     assert G.order == R.size**2
     seen = {pair_index(x, y) for x in R.elements for y in R.elements}
     assert seen == set(range(G.order))
+
+
+def _build_group():
+    G = make_abelian([4])
+    return construct_group_bh(G, find_normal_cyclic_generator(G, 2), 2)
+
+
+def _build_partition():
+    return construct_partition_bh(chain_ring("galois", 2, 1, 2), 1, list(zero_sum(2, 2).exps), 2)
+
+
+def _build_lines():
+    R = chain_ring("galois", 2, 1, 2)
+    return construct_line_bh(R, solve_coefficient_scheme(R, 6))
+
+
+@pytest.mark.parametrize("build", [_build_group, _build_partition, _build_lines],
+                         ids=["group", "partition", "lines"])
+def test_failed_self_check_raises(build, monkeypatch):
+    assert verify_group_ring(build())
+    monkeypatch.setattr(construct, "verify_group_ring", lambda D: False)
+    with pytest.raises(SelfCheckFailed):
+        build()
+
+
+def test_self_check_survives_python_O():
+    code = textwrap.dedent("""
+        import sys
+        from butson import construct
+        from butson.errors import SelfCheckFailed
+        from butson.groups import make_cyclic
+
+        assert sys.flags.optimize, "asserts are on"
+        construct.verify_group_ring = lambda D: False
+        G = make_cyclic(4)
+        try:
+            construct.construct_group_bh(G, construct.find_normal_cyclic_generator(G, 2), 2)
+        except SelfCheckFailed:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

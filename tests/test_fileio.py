@@ -21,7 +21,7 @@ def sample_matrix():
 def test_matrix_round_trip(tmp_path):
     M = sample_matrix()
     path = tmp_path / "m.bh"
-    fileio.write_matrix(M, path)
+    path.write_text(fileio.format_matrix(M))
     back = fileio.read_matrix(path)
     assert back.h == M.h and back.exponents == M.exponents
     assert back.group.same_as(M.group)
@@ -40,8 +40,8 @@ def test_matrix_format_frozen():
 def test_rewrite_is_byte_identical(tmp_path):
     M = sample_matrix()
     p1, p2 = tmp_path / "a.bh", tmp_path / "b.bh"
-    fileio.write_matrix(M, p1)
-    fileio.write_matrix(fileio.read_matrix(p1), p2)
+    p1.write_text(fileio.format_matrix(M))
+    p2.write_text(fileio.format_matrix(fileio.read_matrix(p1)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -53,6 +53,31 @@ def test_matrix_header_validation(tmp_path):
     path.write_text("bh h=2 order=5\ncyclic 4\n0 0 0 1\n")
     with pytest.raises(ButsonError):
         fileio.read_matrix(path)
+
+
+def test_readers_name_the_file_on_bad_input(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text, reader in [("", fileio.read_matrix), ("bh h=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
+                         ("bh h=-1 order=1\ncyclic 1\n0\n", fileio.read_matrix),
+                         ("bh h=2 order=2\ncyclic 2\n0 x\n0 1\n", fileio.read_matrix),
+                         ("array h=2\n0 1\n", fileio.read_array), ("array h 2\n", fileio.read_array),
+                         (None, fileio.read_matrix), (None, fileio.read_array)]:
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text)
+        with pytest.raises(ButsonError, match=str(path)):
+            reader(path)
+
+
+def test_group_spec_errors_are_butson_errors(tmp_path):
+    (tmp_path / "loop.txt").write_text("order 2\n0 1\n1 x\n")
+    for spec in ["cyclic", "cyclic 2,3", "abelian 2,,3", "semidirect 4,2", "table missing.txt",
+                 "table loop.txt", "klein 4"]:
+        with pytest.raises(ButsonError):
+            fileio.parse_group_spec(spec, base_dir=tmp_path)
+    with pytest.raises(ButsonError, match="loop.txt"):
+        fileio.parse_group_spec("table loop.txt", base_dir=tmp_path)
 
 
 def test_table_group_resolved_relative_to_matrix(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson.cyclotomic import CycInt, cyc_equal, equals_integer, is_zero
-from butson.errors import InvalidAction, NotAbelian, NotAGroup
+from butson.construct import find_normal_cyclic_generator
+from butson.cyclotomic import CycInt, equals_integer, is_zero
+from butson.errors import InvalidAction, InvalidParams, NotAbelian, NotAGroup, WrongSubgroupOrder
 from butson.groups import (
     GroupRingElt,
+    _check_axioms,
     abelian_coords,
     abelian_index,
     apply_char,
@@ -28,7 +30,6 @@ from butson.groups import (
     make_cyclic,
     make_from_table,
     make_semidirect,
-    normal_cyclic_subgroups,
     parse_cayley_table,
 )
 
@@ -149,6 +150,32 @@ def test_make_from_table_rejects_broken_table():
         make_from_table(bad)
 
 
+def test_make_from_table_rejects_non_associative_loop():
+    # a Latin square with identity 0 (a loop), but not a group
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(NotAGroup, match="multiplication is not associative"):
+        make_from_table(loop)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_abelian([4, 4, 4, 4]),
+    lambda: make_abelian([2, 3, 4]),
+    lambda: make_semidirect(16, 4, 15),
+    lambda: make_semidirect(64, 4, 31),
+], ids=["abelian-4x4x4x4", "abelian-2x3x4", "semidirect-16-4-15", "semidirect-64-4-31"])
+def test_builder_tables_pass_the_axioms(build):
+    # builders skip the check at run time; it still holds for their tables
+    _check_axioms(build().table)
+
+
+def test_make_abelian_rejects_bad_factors():
+    for factors in ([], [2, 0], [3, -1]):
+        with pytest.raises(InvalidParams):
+            make_abelian(factors)
+    with pytest.raises(InvalidParams):
+        make_cyclic(0)
+
+
 def test_quaternion_group(q8_table):
     G = make_from_table(q8_table)
     assert G.order == 8 and not G.is_abelian
@@ -163,19 +190,20 @@ def test_parse_cayley_table_round_trip(q8_table):
 
 def test_cyclic_subgroup_and_normality():
     D4 = make_semidirect(4, 2, 3)
-    rotations = [(g, o) for g, o in normal_cyclic_subgroups(D4) if o == 4]
-    assert rotations, "the rotation subgroup of D4 is normal cyclic of order 4"
-    g, _ = rotations[0]
-    assert len(cyclic_subgroup(D4, g)) == 4
+    g = find_normal_cyclic_generator(D4, 4)  # the rotations
+    sub = cyclic_subgroup(D4, g)
+    assert len(sub) == 4 and is_normal(D4, sub)
 
     S3 = make_semidirect(3, 2, 2)
-    orders = {o for _, o in normal_cyclic_subgroups(S3)}
-    assert 6 not in orders and 2 not in orders and 3 in orders
+    assert len(cyclic_subgroup(S3, find_normal_cyclic_generator(S3, 3))) == 3
+    for order in (2, 6):  # the order-2 subgroups are not normal; S3 is not cyclic
+        with pytest.raises(WrongSubgroupOrder):
+            find_normal_cyclic_generator(S3, order)
 
 
 def test_coset_reps_tile_the_group():
     D4 = make_semidirect(4, 2, 3)
-    g = next(g for g, o in normal_cyclic_subgroups(D4) if o == 4)
+    g = find_normal_cyclic_generator(D4, 4)
     H = cyclic_subgroup(D4, g)
     reps = coset_reps(D4, H)
     assert reps[0] == 0

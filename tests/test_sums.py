@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butson.cyclotomic import CycInt, is_zero
-from butson.errors import NoDecomposition, NoSolution
-from butson.sums import prime_divisors, semigroup_member, unit_sum, zero_sum
+from butson.errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
+from butson.sums import SumWitness, prime_divisors, semigroup_member, unit_sum, zero_sum
 
 
 def reachable_lengths(primes, limit):
@@ -126,3 +126,22 @@ def test_zero_sum_witnesses_always_check(L, h):
         assert semigroup_member(L, prime_divisors(h)) is None
         return
     assert w.check() and is_zero(w.value())
+
+
+@pytest.mark.parametrize("call,passes", [
+    (lambda: zero_sum(4, 2), lambda w: False),
+    (lambda: unit_sum(3, 2, 0), lambda w: w.target is None),  # target + zero sum
+    (lambda: unit_sum(2, 6, 0), lambda w: w.target is None),  # the sixth-root pair
+], ids=["zero-sum", "unit-sum-padded", "unit-sum-sixth-roots"])
+def test_failed_witness_check_raises(call, passes, monkeypatch):
+    call()
+    monkeypatch.setattr(SumWitness, "check", passes)
+    with pytest.raises(SelfCheckFailed):
+        call()
+
+
+def test_sums_reject_nonpositive_length_and_order():
+    for call in (lambda: zero_sum(0, 6), lambda: unit_sum(0, 6, 0),
+                 lambda: zero_sum(2, 0), lambda: unit_sum(3, 0, 0)):
+        with pytest.raises(InvalidParams):
+            call()
