@@ -16,7 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, is_zero
+import numpy as np
+
+from .cyclotomic import CycInt, is_zero, reduce_rows, reduction_matrix, zero_rows
 from .errors import (
     BadEtaSum,
     BadH,
@@ -37,11 +39,10 @@ from .groups import (
     cyclic_subgroup,
     coset_reps,
     element_order,
-    gr_conj_inv,
-    gr_mul,
     is_normal,
     make_abelian,
     make_cyclic,
+    unimodular_products,
 )
 from .rings import ChainRing
 from .sums import unit_sum, zero_sum
@@ -115,21 +116,26 @@ def build_blocks(params: BlockParams) -> list[GroupRingElt]:
 
 
 def _check_blocks(blocks: list[GroupRingElt], n: int) -> None:
-    h = blocks[0].h
-    group = blocks[0].group
-    diag = GroupRingElt.zero(group, h)
-    for i, di in enumerate(blocks):
-        for j, dj in enumerate(blocks):
-            prod = gr_mul(di, gr_conj_inv(dj))
-            if i == j:
-                diag = GroupRingElt(
-                    group, h, tuple(a + b for a, b in zip(diag.coeffs, prod.coeffs))
-                )
-            elif any(not is_zero(c) for c in prod.coeffs):
-                raise InvalidParams(f"cross product D_{i} D_{j}^(-1) is nonzero")
-    want = [CycInt.integer(h, n)] + [CycInt.zero(h)] * (group.order - 1)
-    if any(not is_zero(a - b) for a, b in zip(diag.coeffs, want)):
-        raise InvalidParams("diagonal block sum does not equal n")
+    """Exact check that D_i D_j^(-1) = 0 for i != j and sum_i D_i D_i^(-1) = n.
+
+    Blocks come from validated parameters, so a failure is a program error.
+    The k^2 products are histogrammed one first block D_i at a time.
+    """
+    h, group = blocks[0].h, blocks[0].group
+    B = np.array([b.monomial_exponents() for b in blocks], dtype=np.int64)
+    k, c = B.shape
+    diag = np.zeros((c, h), dtype=np.int64)
+    for i in range(k):
+        hist = unimodular_products(group, h, B[i], B)
+        diag += hist[i]
+        ok = zero_rows(hist.reshape(k * c, h)).reshape(k, c).all(axis=1)
+        ok[i] = True
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            raise SelfCheckFailed(f"cross product D_{i} D_{int(bad[0])}^(-1) is nonzero")
+    diag[0, 0] -= n
+    if not zero_rows(diag).all():
+        raise SelfCheckFailed("diagonal block sum does not equal n")
 
 
 def construct_group_bh(
@@ -412,30 +418,30 @@ def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> GroupRingElt:
     """BH element over (R x R, +) from the weighted line family."""
     h = scheme.h
     G, pair_index = ring_square_group(R)
-    acc = [CycInt.zero(h) for _ in range(G.order)]
+    hist = np.zeros((G.order, h), dtype=np.int64)
     for r, e in scheme.eta_r.items():
-        z = CycInt.root(h, e)
         for x in R.elements:
-            i = pair_index(x, R.mul(x, r))
-            acc[i] = acc[i] + z
+            hist[pair_index(x, R.mul(x, r)), e % h] += 1
     for s, e in scheme.mu_s.items():
-        z = CycInt.root(h, e)
         for x in R.elements:
-            i = pair_index(R.mul(x, s), x)
-            acc[i] = acc[i] + z
-    exps = []
-    for i, c in enumerate(acc):
-        e = _collapse_to_root(c)
-        if e is None:
-            raise SchemeViolation(f"coefficient {i} did not collapse to a root")
-        exps.append(e)
+            hist[pair_index(R.mul(x, s), x), e % h] += 1
+    exps = _collapse_to_roots(hist)
     if exps[pair_index(R.zero, R.zero)] != scheme.eta:
         raise SchemeViolation("coefficient of (0,0) does not equal eta")
     return _self_checked(GroupRingElt.from_exponents(G, h, exps))
 
 
-def _collapse_to_root(c: CycInt) -> int | None:
-    for e in range(c.h):
-        if is_zero(c - CycInt.root(c.h, e)):
-            return e
-    return None
+def _collapse_to_roots(hist: np.ndarray) -> list[int]:
+    """For each row of an (N, h) coefficient array, the e with row = zeta_h^e.
+
+    The reduced rows of distinct roots are distinct, so one reduction and a
+    lookup among the rows of the reduction matrix decide every coefficient.
+    """
+    roots = {tuple(r): e for e, r in enumerate(reduction_matrix(hist.shape[1]).tolist())}
+    exps = []
+    for i, row in enumerate(reduce_rows(hist).tolist()):
+        e = roots.get(tuple(row))
+        if e is None:
+            raise SchemeViolation(f"coefficient {i} did not collapse to a root")
+        exps.append(e)
+    return exps

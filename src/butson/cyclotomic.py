@@ -2,14 +2,21 @@
 
 Values are integer coefficient vectors over the powers zeta_h^0..zeta_h^(h-1),
 kept unreduced; reduction modulo the h-th cyclotomic polynomial happens only
-inside the zero/integer tests.  Coefficients are arbitrary-precision Python
-ints, so overflow is impossible by construction.
+inside the zero/integer tests.  `CycInt` coefficients are arbitrary-precision
+Python ints, and `is_zero` reduces one value by exact polynomial division.
+
+The batched test `zero_rows` reduces a whole (N, h) coefficient array at once
+as `hist @ reduction_matrix(h)`, whose row j holds x^j mod Phi_h.  It runs in
+int64 only when max_row sum|c_j| * max|Rm| < 2^62, which bounds every partial
+sum of the product, and otherwise in Python ints, so it is exact either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotOdd, OrderMismatch
 
@@ -170,6 +177,65 @@ def cyclotomic_poly(h: int) -> tuple[int, ...]:
 def is_zero(x: CycInt) -> bool:
     phi = list(cyclotomic_poly(x.h))
     return not _poly_divmod_monic(list(x.coeffs), phi)[1]
+
+
+_INT64_SAFE = 2**62
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(h: int) -> np.ndarray:
+    """Read-only (h, phi(h)) integer array; row j holds x^j mod Phi_h.
+
+    Distinct roots zeta_h^j have distinct rows, and a coefficient vector c is
+    zero in Z[zeta_h] exactly when c @ reduction_matrix(h) is.
+    """
+    phi = cyclotomic_poly(h)
+    d = len(phi) - 1
+    low = [(i, c) for i, c in enumerate(phi[:-1]) if c]  # x^d = -sum c x^i
+    row = [1] + [0] * (d - 1)
+    rows = [row]
+    for _ in range(1, h):
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            for i, c in low:
+                row[i] -= top * c
+        rows.append(row)
+    big = max(abs(c) for r in rows for c in r) >= _INT64_SAFE
+    Rm = np.array(rows, dtype=object if big else np.int64)
+    Rm.setflags(write=False)
+    return Rm
+
+
+def _max_row_l1(a: np.ndarray) -> int:
+    """max over rows of sum |a_ij|, exactly, as a Python int."""
+    if a.size == 0:
+        return 0
+    if a.dtype != object:
+        lo, hi = int(a.min()), int(a.max())
+        if max(hi, -lo) * a.shape[1] < 2**63:  # the row sums fit in int64
+            return int((a if lo >= 0 else np.abs(a)).sum(axis=1).max())
+    return int(np.abs(a.astype(object)).sum(axis=1).max())
+
+
+def _reduce_exact(hist: np.ndarray, Rm: np.ndarray) -> np.ndarray:
+    return hist.astype(object) @ Rm.astype(object)
+
+
+def reduce_rows(hist) -> np.ndarray:
+    """Each row of an (N, h) integer coefficient array reduced mod Phi_h.
+
+    Row i of the (N, phi(h)) result is zero iff sum_j hist[i, j] zeta_h^j is.
+    """
+    hist = np.asarray(hist)
+    Rm = reduction_matrix(hist.shape[1])
+    if _max_row_l1(hist) * int(np.abs(Rm).max()) < _INT64_SAFE:
+        return hist.astype(np.int64, copy=False) @ Rm
+    return _reduce_exact(hist, Rm)
+
+
+def zero_rows(hist) -> np.ndarray:
+    """One bool per row of an (N, h) coefficient array: is that value zero?"""
+    return ~(reduce_rows(hist) != 0).any(axis=1)
 
 
 def equals_integer(x: CycInt, n: int) -> bool:

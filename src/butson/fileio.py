@@ -130,6 +130,8 @@ def read_array(path: str | Path) -> PerfectArray:
     with _reading(path):
         dims = tuple(int(x) for x in fields["dims"].split(","))
         flat = [int(x) % h for ln in lines for x in ln.split()]
+    if min(dims) < 1:
+        raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if len(flat) != math.prod(dims):
         raise ButsonError(f"{path}: entry count does not match dims")
     return PerfectArray(dims, h, tuple(flat))

@@ -4,8 +4,8 @@ Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
 table[a, b] = a*b, and the inverses one read-only (order,) array; builders
 fill the table with broadcast expressions, and consumers (materialize, the
-invariance check, the group-ring product, normality) gather through it as a
-whole.  `mul` and `inv` return Python ints.  Abelian groups built in
+invariance check, the unimodular product histograms, normality) gather
+through it as a whole.  `mul` and `inv` return Python ints.  Abelian groups built in
 invariant-factor form keep their factor list, which is what the character
 machinery consumes.
 
@@ -272,13 +272,6 @@ def gr_add(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
 def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     _check_pair(x, y)
     G, h = x.group, x.h
-    xe, ye = x.monomial_exponents(), y.monomial_exponents()
-    if xe is not None and ye is not None:
-        # Unimodular fast path: one histogram over (product a*b, exponent) cells.
-        xe, ye = np.array(xe), np.array(ye)
-        cells = G.table * h + (xe[:, None] + ye) % h
-        hists = np.bincount(cells.ravel(), minlength=G.order * h).reshape(G.order, h)
-        return GroupRingElt(G, h, tuple(CycInt(h, tuple(hi)) for hi in hists.tolist()))
     out = [CycInt.zero(h) for _ in G.elements()]
     for a, ca in enumerate(x.coeffs):
         if all(v == 0 for v in ca.coeffs):
@@ -290,6 +283,32 @@ def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
             g = row[b]
             out[g] = out[g] + ca * cb
     return GroupRingElt(G, h, tuple(out))
+
+
+# cells gathered per batch by the product histograms; bounds their memory
+CHUNK_CELLS = 1 << 20
+
+
+def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Coefficient histograms of x * y^(-1) for each row y of Y, all unimodular.
+
+    x is an (n,) vector and Y an (m, n) array of exponents in 0..h-1.  Entry
+    [j, g, t] of the (m, n, h) result counts the pairs (a, b) with
+    a * b^(-1) = g and x[a] - Y[j, b] = t (mod h), so the coefficient of g in
+    x * y_j^(-1) is sum_t [j, g, t] zeta_h^t.  Rows a of the Cayley table are
+    gathered in chunks of at most about CHUNK_CELLS cells.
+    """
+    n, m = G.order, len(Y)
+    hist = np.zeros(m * n * h, dtype=np.int64)
+    base = (np.arange(m) * n)[:, None, None]
+    step = max(1, CHUNK_CELLS // (m * n))
+    for a0 in range(0, n, step):
+        a = slice(a0, a0 + step)
+        cells = base + G.table[a][:, G.inverse]
+        cells *= h
+        cells += (x[a, None] - Y[:, None, :]) % h
+        hist += np.bincount(cells.ravel(), minlength=len(hist))
+    return hist.reshape(m, n, h)
 
 
 def gr_conj_inv(x: GroupRingElt) -> GroupRingElt:

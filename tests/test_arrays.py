@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -95,3 +96,19 @@ def test_multidimensional_perfect_array():
     assert A.dims == (2, 2, 2, 2) and len(A.exponents) == 16
     assert verify_perfect(A)
     assert A.tensor().shape == (2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("dims, h, stride", [
+    ((4,), 2, 1), ((2, 2), 2, 1), ((2, 4), 2, 1), ((4, 2), 2, 1), ((3, 3), 3, 37),
+])
+def test_batched_verify_perfect_matches_autocorrelation_oracle(dims, h, stride):
+    # every array (every stride-th for 3^9) against one shift at a time
+    shifts = [s for s in itertools.product(*map(range, dims)) if any(s)]
+    size = math.prod(dims)
+    perfect = 0
+    for exps in itertools.islice(itertools.product(range(h), repeat=size), 0, None, stride):
+        A = PerfectArray(dims, h, exps)
+        expected = all(is_zero(autocorrelation(A, s)) for s in shifts)
+        assert verify_perfect(A) == expected, exps
+        perfect += expected
+    assert perfect > 0 or dims in ((2, 4), (4, 2))

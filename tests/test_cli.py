@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -91,6 +92,8 @@ _MALFORMED = {
     "empty-file": ("", ["verify", "{file}"]),
     "h-0": ("bh h=0 order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
     "dims-x": ("array h=2 dims=2,x\n0 1\n", ["verify-array", "{file}"]),
+    "dims-0": ("array h=2 dims=0\n", ["verify-array", "{file}"]),
+    "dims-2-0": ("array h=2 dims=2,0\n", ["verify-array", "{file}"]),
     "length-0": (None, ["solve-sum", "--length", "0", "--order", "6"]),
 }
 
@@ -111,6 +114,18 @@ def test_self_check_failure_exits_1(monkeypatch, capsys):
     assert run("construct", "group", "--order", "4", "--h", "2") == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("verification failed:") and captured.out == ""
+
+
+def test_block_check_failure_exits_1(monkeypatch, capsys):
+    # multiplier 0 makes every block equal, so no cross product vanishes;
+    # the planner never allows it, so this is a program error, not bad input
+    plan = construct.BlockParams.plan
+    monkeypatch.setattr(construct.BlockParams, "plan",
+                        lambda n, m=1: dataclasses.replace(plan(n, m), m=0))
+    assert run("construct", "group", "--order", "16", "--h", "4") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:")
+    assert "cross product D_0 D_1^(-1) is nonzero" in err
 
 
 def test_local_partition_round_trip(tmp_path, capsys):

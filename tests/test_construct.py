@@ -10,6 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from butson import construct
@@ -35,13 +36,17 @@ from butson.errors import (
     InvalidParams,
     NoScheme,
     NotNormal,
+    SchemeViolation,
     SelfCheckFailed,
     UnsupportedRing,
     WrongSubgroupOrder,
 )
 from butson.groups import (
+    GroupRingElt,
     apply_char,
     characters,
+    gr_conj_inv,
+    gr_mul,
     make_abelian,
     make_from_table,
     make_semidirect,
@@ -350,3 +355,61 @@ def test_self_check_survives_python_O():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _corrupted(blocks, i, g):
+    """The blocks with one exponent of block i shifted by 1."""
+    b = blocks[i]
+    exps = b.monomial_exponents()
+    exps[g] = (exps[g] + 1) % b.h
+    out = list(blocks)
+    out[i] = GroupRingElt.from_exponents(b.group, b.h, exps)
+    return out
+
+
+def _first_bad_pair(blocks):
+    """First (i, j), i != j, in row-major order with D_i D_j^(-1) != 0, by gr_mul."""
+    for i, j in itertools.permutations(range(len(blocks)), 2):
+        prod = gr_mul(blocks[i], gr_conj_inv(blocks[j]))
+        if not all(is_zero(c) for c in prod.coeffs):
+            return i, j
+    return None
+
+
+@pytest.mark.parametrize("n", [9, 16, 36, 48])
+def test_corrupted_block_fails_the_self_check(n):
+    blocks = build_blocks(BlockParams.plan(n))
+    construct._check_blocks(blocks, n)
+    k = len(blocks)
+    assert k >= 3
+    for i, g in ((2, 1), (k - 1, 0), (0, 2)):
+        bad = _corrupted(blocks, i, g)
+        pair = _first_bad_pair(bad)
+        assert pair is not None
+        with pytest.raises(SelfCheckFailed, match=rf"cross product D_{pair[0]} D_{pair[1]}\^\(-1\) is nonzero"):
+            construct._check_blocks(bad, n)
+
+
+def test_corrupted_single_block_fails_the_diagonal_check():
+    blocks = build_blocks(BlockParams.plan(2))
+    assert len(blocks) == 1
+    with pytest.raises(SelfCheckFailed, match="diagonal block sum does not equal n"):
+        construct._check_blocks(_corrupted(blocks, 0, 1), 2)
+
+
+def test_collapse_to_roots_reads_unreduced_roots():
+    h = 12
+    rows = []
+    for e in range(h):
+        row = [0] * h
+        row[e] += 1
+        row[(e + 3) % h] += 1  # plus zeta^(e+3) (1 + zeta^4 + zeta^8) = 0
+        row[(e + 7) % h] += 1
+        row[(e + 11) % h] += 1
+        rows.append(row)
+    rows = np.array(rows, dtype=np.int64)
+    rows[:, [0, 4, 8]] += 2  # 2 (1 + zeta^4 + zeta^8) = 0
+    assert construct._collapse_to_roots(rows) == list(range(h))
+    for bad in ([2] + [0] * (h - 1), [0] * h, [1, 1] + [0] * (h - 2)):
+        with pytest.raises(SchemeViolation, match="coefficient 1 did"):
+            construct._collapse_to_roots(np.array([[0, 1] + [0] * (h - 2), bad]))

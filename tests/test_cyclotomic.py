@@ -6,11 +6,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from butson import cyclotomic
 from butson.cyclotomic import (
     CycInt,
     cyclotomic_poly,
@@ -18,6 +20,9 @@ from butson.cyclotomic import (
     gauss_sum,
     is_zero,
     norm_sq,
+    reduce_rows,
+    reduction_matrix,
+    zero_rows,
 )
 from butson.errors import NotOdd
 
@@ -170,3 +175,86 @@ def test_prime_cycle_sums_vanish():
         for j in range(p):
             acc = acc + CycInt.root(p, (j + s) % p)
         assert is_zero(acc)
+
+
+KERNEL_ORDERS = [1, 2, 3, 4, 12, 24, 105, 236]
+
+
+def _vanishing_row(h: int, rng: random.Random) -> list[int]:
+    """A random multiple of Phi_h, folded mod x^h - 1: always zero in Z[zeta_h]."""
+    phi = cyclotomic_poly(h)
+    row = [0] * h
+    for shift in range(h - len(phi) + 1):
+        q = rng.randint(-3, 3)
+        for i, c in enumerate(phi):
+            row[(i + shift) % h] += q * c
+    return row
+
+
+@pytest.mark.parametrize("h", KERNEL_ORDERS)
+def test_reduction_matrix_rows_are_reduced_powers(h):
+    Rm = reduction_matrix(h)
+    d = len(cyclotomic_poly(h)) - 1
+    assert Rm.shape == (h, d) and not Rm.flags.writeable
+    assert reduction_matrix(h) is Rm
+    # distinct roots reduce to distinct rows
+    assert len({tuple(r) for r in Rm.tolist()}) == h
+    for j, r in enumerate(Rm.tolist()):
+        reduced = CycInt(h, tuple(r) + (0,) * (h - d))
+        assert is_zero(reduced - CycInt.root(h, j))
+
+
+@pytest.mark.parametrize("h", KERNEL_ORDERS)
+def test_zero_rows_matches_is_zero(h):
+    rng = random.Random(1000 + h)
+    rows = []
+    for _ in range(20):
+        rows.append([rng.randint(-5, 5) for _ in range(h)])
+        near = _vanishing_row(h, rng)
+        rows.append(near)
+        bumped = list(near)
+        bumped[rng.randrange(h)] += rng.choice([-1, 1])
+        rows.append(bumped)
+    hist = np.array(rows, dtype=np.int64)
+    expected = [is_zero(CycInt(h, tuple(r))) for r in rows]
+    assert zero_rows(hist).tolist() == expected
+    assert any(expected) and not all(expected)
+
+
+def test_zero_rows_of_no_rows():
+    assert zero_rows(np.zeros((0, 6), dtype=np.int64)).shape == (0,)
+
+
+def test_zero_rows_falls_back_to_python_ints(monkeypatch):
+    calls = []
+    exact = cyclotomic._reduce_exact
+
+    def spy(hist, Rm):
+        calls.append(hist.shape)
+        return exact(hist, Rm)
+
+    monkeypatch.setattr(cyclotomic, "_reduce_exact", spy)
+    h, big = 12, 2**60
+    small = np.array([[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]], dtype=np.int64)
+    assert zero_rows(small).tolist() == [True]
+    assert calls == []  # within the int64 bound
+
+    rows = [
+        [big, 0, 0, 0, big, 0, 0, 0, big, 0, 0, 0],  # 2^60 (1 + z^4 + z^8) = 0
+        [big, 0, 0, 0, big, 0, 0, 0, big + 1, 0, 0, 0],
+        [big] * 12,  # 2^60 * (sum of all 12th roots) = 0
+        [big, 0, 0, 0, 0, 0, big, 0, 0, 0, 0, big],
+    ]
+    hist = np.array(rows, dtype=np.int64)
+    expected = [is_zero(CycInt(h, tuple(r))) for r in rows]
+    assert zero_rows(hist).tolist() == expected == [True, False, True, False]
+    assert calls == [(4, 12)]
+    # no entry is near 2^62, but a row's sum of |c_j| is, which decides
+    mid = np.array([[2**59] * 12, [2**59] * 11 + [0]], dtype=np.int64)
+    assert zero_rows(mid).tolist() == [True, False]
+    assert calls == [(4, 12), (2, 12)]
+    # rows beyond int64 go the same way, as object arrays
+    huge = np.array([[2**70, 2**70, 2**70]], dtype=object)
+    assert zero_rows(huge).tolist() == [True]
+    assert reduce_rows(np.array([[2**70, 0, 0]], dtype=object)).tolist() == [[2**70, 0]]
+    assert len(calls) == 4

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from butson.construct import (
@@ -15,12 +17,15 @@ from butson.construct import (
 from butson.errors import NonUnimodular
 from butson.groups import (
     GroupRingElt,
+    gr_conj_inv,
+    gr_mul,
     make_abelian,
     make_cyclic,
     make_from_table,
     make_semidirect,
+    unimodular_products,
 )
-from butson.cyclotomic import CycInt
+from butson.cyclotomic import CycInt, equals_integer, is_zero
 from butson.verify import (
     BhMatrix,
     invariance_witness,
@@ -224,3 +229,89 @@ def test_invariance_witnesses_are_genuine(shortcut_cases):
             assert witness is not None, name
             _assert_genuine(bad, witness)
             assert verify_bh(bad).first_failure == ("invariance",) + witness, name
+
+
+def _generic_group_ring_check(D):
+    """D D^(-1) = |G| through the generic gr_mul and scalar is_zero."""
+    prod = gr_mul(D, gr_conj_inv(D))
+    return equals_integer(prod.coeffs[0], D.group.order) and all(
+        is_zero(c) for c in prod.coeffs[1:]
+    )
+
+
+def test_kernel_group_ring_matches_generic_oracle():
+    rng = random.Random(20261019)
+    c6 = make_cyclic(6)
+    cases = [
+        (c6, construct_group_bh(c6, find_normal_cyclic_generator(c6, 6), 12)),
+        (make_semidirect(3, 2, 2), None),  # S3: no BH(S3, h) from construction 1
+        (make_semidirect(4, 2, 3), _group_instance(make_semidirect(4, 2, 3))),
+    ]
+    for G, valid in cases:
+        h = valid.h if valid is not None else 12
+        elements = [] if valid is None else [valid, *_coefficient_mutants(valid, rng, 6)]
+        elements += [
+            GroupRingElt.from_exponents(G, h, [rng.randrange(h) for _ in G.elements()])
+            for _ in range(6)
+        ]
+        for D in elements:
+            assert verify_group_ring(D) == _generic_group_ring_check(D), G.descriptor
+            # the histograms carry every coefficient of D D^(-1), not only the verdict
+            e = np.array(D.monomial_exponents())
+            hist = unimodular_products(G, h, e, e[None])[0]
+            prod = gr_mul(D, gr_conj_inv(D))
+            for g in G.elements():
+                assert is_zero(CycInt(h, tuple(hist[g].tolist())) - prod.coeffs[g])
+        if valid is not None:
+            assert verify_group_ring(valid)
+
+
+def test_group_ring_check_of_non_unimodular_element():
+    G = make_cyclic(2)
+    # (1 + zeta_4^2) + zeta_4 * g has the value of zeta_4 g alone: not BH
+    D = GroupRingElt(G, 4, (CycInt(4, (1, 0, 1, 0)), CycInt.root(4, 1)))
+    assert D.monomial_exponents() is None
+    assert verify_group_ring(D) == _generic_group_ring_check(D) is False
+    E = GroupRingElt(G, 4, (CycInt(4, (2, 0, 1, 0)), CycInt.root(4, 1)))
+    assert verify_group_ring(E) == _generic_group_ring_check(E) is True
+
+
+def _scalar_verdict(M, full):
+    """verify_bh's report fields from one pair at a time and scalar is_zero."""
+    n, h, E = M.group.order, M.h, M.exponents
+    witness = invariance_witness(M)
+    first = None if witness is None else ("invariance",) + witness
+    if witness is None and not full:
+        pairs, total = [(0, g) for g in range(1, n)], n - 1
+    else:
+        pairs, total = itertools.combinations(range(n), 2), n * (n - 1) // 2
+    for checked, (a, b) in enumerate(pairs, 1):
+        hist = [0] * h
+        for x, y in zip(E[a], E[b]):
+            hist[(x - y) % h] += 1
+        if not is_zero(CycInt(h, tuple(hist))):
+            return False, witness is None, first or ("rows", a, b), total if full else checked
+    return True, witness is None, first, total
+
+
+@pytest.fixture(scope="module")
+def large_cases():
+    return [_group_instance(make_semidirect(64, 4, 31)), _group_instance(make_cyclic(256))]
+
+
+def test_batched_verdicts_match_scalar_reference(large_cases):
+    rng = random.Random(256)
+    for D in large_cases:
+        n = D.group.order
+        M = materialize(D.group, D)
+        mutants = [materialize(bad.group, bad) for bad in _coefficient_mutants(D, rng, 2)]
+        for _ in range(3):
+            r, c = rng.randrange(n), rng.randrange(n)
+            mutants.append(M.with_entry(r, c, M.exponents[r][c] + rng.randrange(1, D.h)))
+        assert verify_bh(M).pairs_checked == n - 1
+        for bad in mutants:
+            for full in (False, True):
+                report = verify_bh(bad, full=full)
+                got = (report.is_bh, report.is_invariant, report.first_failure, report.pairs_checked)
+                assert got == _scalar_verdict(bad, full), (D.group.descriptor, full)
+                assert not report.is_bh
