@@ -152,8 +152,8 @@ def _cmd_export_array(args) -> int:
         print("matrix is not group-invariant; no array exists", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     # the coefficient of g is the matrix entry at (g, identity)
-    D = GroupRingElt.from_exponents(M.group, M.h, [row[0] for row in M.exponents])
-    fileio.write_array(arrays.to_array(D), args.out)
+    D = GroupRingElt.from_exponents(M.group, M.h, M.E[:, 0].tolist())
+    Path(args.out).write_text(fileio.format_array(arrays.to_array(D)))
     return EXIT_OK
 
 

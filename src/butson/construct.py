@@ -45,7 +45,7 @@ from .groups import (
     unimodular_products,
 )
 from .rings import ChainRing
-from .sums import unit_sum, zero_sum
+from .sums import SumWitness, unit_sum, zero_sum
 from .verify import verify_group_ring
 
 
@@ -256,10 +256,7 @@ def construct_partition_bh(
     """BH element over (R x R, +) from a vanishing sum of p^t roots."""
     if len(etas) != R.p**t:
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
-    total = CycInt.zero(h)
-    for e in etas:
-        total = total + CycInt.root(h, e)
-    if not is_zero(total):
+    if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
     parts = partition_R(R, t, seed=seed)
     part_of = {x: i for i, part in enumerate(parts) for x in part}

@@ -11,7 +11,9 @@ Array file::
     array h=<H> dims=n1,n2,...
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
-Table paths are resolved relative to the matrix file's directory.
+Table paths are resolved relative to the matrix file's directory.  Header
+keys may not repeat.  Matrix bodies are parsed by numpy into `BhMatrix.E`,
+and both writers gather the strings of 0..h-1 over an int array.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import math
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .arrays import PerfectArray
 from .errors import ButsonError, NotAGroup
 from .groups import (
     FiniteGroup,
     make_abelian,
-    make_cyclic,
     make_from_table,
     make_semidirect,
     parse_cayley_table,
@@ -50,7 +53,10 @@ def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
         if not lines or lines[0].split()[0] != tag:
             raise ButsonError(f"{path}: not {what} file")
-        fields = dict(kv.split("=") for kv in lines[0].split()[1:])
+        pairs = [kv.split("=") for kv in lines[0].split()[1:]]
+        fields = dict(pairs)
+        if len(fields) != len(pairs):
+            raise ButsonError(f"{path}: repeated header key")
         h = int(fields.pop("h"))
     if h < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")
@@ -79,20 +85,21 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         nums = [int(x) for x in arg.split(",")]
     except ValueError:
         raise ButsonError(f"bad group descriptor {spec!r}") from None
-    if kind == "abelian":
-        return make_abelian(nums)
-    if kind == "cyclic" and len(nums) == 1:
-        return make_cyclic(nums[0])
+    if kind == "abelian" or (kind == "cyclic" and len(nums) == 1):
+        return make_abelian(nums)  # one factor is described as cyclic
     if kind == "semidirect" and len(nums) == 3:
         return make_semidirect(*nums)
     raise ButsonError(f"bad group descriptor {spec!r}")
 
 
+def _format(header: list[str], E: np.ndarray, h: int) -> str:
+    """Header lines, then each row of an int array in 0..h-1 as space-separated text."""
+    words = np.array([str(e) for e in range(h)], dtype=object)[E]
+    return "\n".join(header + [" ".join(row) for row in words.tolist()]) + "\n"
+
+
 def format_matrix(M: BhMatrix) -> str:
-    lines = [f"bh h={M.h} order={M.group.order}", M.group.descriptor]
-    for row in M.exponents:
-        lines.append(" ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    return _format([f"bh h={M.h} order={M.group.order}", M.group.descriptor], M.E, M.h)
 
 
 def read_matrix(path: str | Path) -> BhMatrix:
@@ -100,28 +107,23 @@ def read_matrix(path: str | Path) -> BhMatrix:
     h, fields, lines = _read_file(path, "bh", "a matrix")
     with _reading(path):
         order = int(fields["order"])
-        spec = lines[0]
-        rows = [tuple(int(x) % h for x in ln.split()) for ln in lines[1 : 1 + order]]
+        spec, body = lines[0], lines[1:]
+        # numpy's parser warns on no rows, and some non-ASCII text crashes it
+        # (numpy 2.4, e.g. U+6C696), so it sees neither; "#" is no comment
+        ok = len(body) == order > 0 and all(map(str.isascii, body))
+        E = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2) if ok else None
     group = parse_group_spec(spec, base_dir=path.parent)
     if group.order != order:
         raise ButsonError(f"{path}: order header disagrees with the group")
-    if len(rows) != order or any(len(r) != order for r in rows):
+    if E is None or E.shape != (order, order):
         raise ButsonError(f"{path}: expected {order} rows of {order} exponents")
-    return BhMatrix(h, group, tuple(rows))
+    return BhMatrix(h, group, E)
 
 
 def format_array(A: PerfectArray) -> str:
     dims = ",".join(str(d) for d in A.dims)
-    lines = [f"array h={A.h} dims={dims}"]
-    width = A.dims[-1]
-    flat = A.exponents
-    for i in range(0, len(flat), width):
-        lines.append(" ".join(str(e) for e in flat[i : i + width]))
-    return "\n".join(lines) + "\n"
-
-
-def write_array(A: PerfectArray, path: str | Path) -> None:
-    Path(path).write_text(format_array(A))
+    rows = np.array(A.exponents, dtype=np.int64).reshape(-1, A.dims[-1]) % A.h
+    return _format([f"array h={A.h} dims={dims}"], rows, A.h)
 
 
 def read_array(path: str | Path) -> PerfectArray:

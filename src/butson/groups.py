@@ -104,11 +104,11 @@ def make_abelian(factors) -> FiniteGroup:
     factors = tuple(int(f) for f in factors)
     if not factors or any(f < 1 for f in factors):
         raise InvalidParams(f"abelian factors must be positive, got {factors}")
-    n = math.prod(factors)
-    table = np.zeros((n, n), dtype=np.intp)
-    for c, f in zip(np.unravel_index(np.arange(n), factors), factors):
-        table *= f
-        table += (c[:, None] + c[None, :]) % f
+    # Kronecker steps: element a*f + x of (G so far) x Z_f is the pair (a, x)
+    table = np.zeros((1, 1), dtype=np.intp)
+    for f in factors:
+        m, c = len(table), np.arange(f, dtype=np.intp)
+        table = (table[:, None, :, None] * f + ((c[:, None] + c) % f)[:, None, :]).reshape(m * f, m * f)
     desc = "abelian " + ",".join(str(f) for f in factors)
     if len(factors) == 1:
         desc = f"cyclic {factors[0]}"
@@ -242,10 +242,6 @@ class GroupRingElt:
     @classmethod
     def from_exponents(cls, group: FiniteGroup, h: int, exps) -> "GroupRingElt":
         return cls(group, h, tuple(CycInt.root(h, e) for e in exps))
-
-    @classmethod
-    def zero(cls, group: FiniteGroup, h: int) -> "GroupRingElt":
-        return cls(group, h, (CycInt.zero(h),) * group.order)
 
     def monomial_exponents(self) -> list[int] | None:
         out = []

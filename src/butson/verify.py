@@ -1,12 +1,13 @@
 """Materialization and exact verification of Butson Hadamard matrices.
 
 Three independent routes are exposed: row inner products on the materialized
-matrix, the group-ring product D D^(-1) = |G|, and (for abelian groups)
-character norms.  The first two histogram exponent differences in batches of
-bounded size into (N, h) integer arrays, one row per inner product or
-group-ring coefficient, and zero-test each batch with one
-`cyclotomic.zero_rows` call (an exact reduction mod Phi_h as a matrix
-product, in int64 only under a checked bound).
+`BhMatrix` (one read-only (n, n) int64 array `E` mod h, which `materialize`,
+`fileio` and the verifiers share without a copy), the group-ring product
+D D^(-1) = |G|, and (for abelian groups) character norms.  The first two
+histogram exponent differences in batches of bounded size into (N, h)
+integer arrays, one row per inner product or group-ring coefficient, and
+zero-test each batch with one `cyclotomic.zero_rows` call (an exact
+reduction mod Phi_h as a matrix product, in int64 only under a checked bound).
 
 `verify_bh` first checks G-invariance with one gather against column 0.  An
 invariant matrix has <row a, row b> = <row 0, row b a^(-1)>, so only the n-1
@@ -36,16 +37,28 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BhMatrix:
+    """Entry (g, k) is zeta_h^E[g, k]; E is read-only int64 mod h, like a table."""
+
     h: int
     group: FiniteGroup
-    exponents: tuple[tuple[int, ...], ...]
+    E: np.ndarray
+
+    def __post_init__(self) -> None:
+        E = np.asarray(self.E, dtype=np.int64) % self.h
+        E.flags.writeable = False
+        object.__setattr__(self, "E", E)
+
+    @property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """E as tuples of ints, kept only for bench/workloads.py and tests that compare tuples."""
+        return tuple(map(tuple, self.E.tolist()))
 
     def with_entry(self, row: int, col: int, e: int) -> "BhMatrix":
-        rows = [list(r) for r in self.exponents]
-        rows[row][col] = e % self.h
-        return BhMatrix(self.h, self.group, tuple(tuple(r) for r in rows))
+        E = self.E.copy()
+        E[row, col] = e % self.h
+        return BhMatrix(self.h, self.group, E)
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,7 @@ def materialize(G: FiniteGroup, D: GroupRingElt) -> BhMatrix:
     exps = D.monomial_exponents()
     if exps is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
-    rows = np.array(exps)[G.table[:, G.inverse]]
-    return BhMatrix(D.h, G, tuple(map(tuple, rows.tolist())))
+    return BhMatrix(D.h, G, np.array(exps)[G.table[:, G.inverse]])
 
 
 def _pair_blocks(E: np.ndarray, h: int, firsts):
@@ -93,22 +105,15 @@ def _pair_blocks(E: np.ndarray, h: int, firsts):
             yield a, b0, zero_rows(hist[:, :h])
 
 
-def _invariance_witness(E: np.ndarray, G: FiniteGroup) -> tuple[int, int, int] | None:
-    # E is invariant iff E[g][k] == E[g k^(-1)][0] for all g, k.  Group tables
-    # hold only 0..n-1, so mode="wrap" never wraps; it spares the copy of `out`
-    # that numpy makes under the default mode="raise".
-    idx = G.table[:, G.inverse]
-    np.take(E[:, 0], idx, out=idx, mode="wrap")
-    bad = np.argwhere(idx != E)
+def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
+    """None if M is G-invariant, else (g, k, l) with E[g l][k l] != E[g][k]."""
+    # invariant iff E[g][k] == E[g k^(-1)][0] for all g, k
+    G = M.group
+    bad = np.argwhere(M.E[:, 0][G.table[:, G.inverse]] != M.E)
     if len(bad) == 0:
         return None
     g, k = int(bad[0][0]), int(bad[0][1])
     return g, k, G.inv(k)
-
-
-def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
-    """None if M is G-invariant, else (g, k, l) with E[g l][k l] != E[g][k]."""
-    return _invariance_witness(np.array(M.exponents, dtype=np.int64) % M.h, M.group)
 
 
 def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
@@ -121,10 +126,9 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
     """
     start = time.perf_counter()
     n, h = M.group.order, M.h
-    E = np.array(M.exponents, dtype=np.int64) % h
     first_failure = None
 
-    witness = _invariance_witness(E, M.group)
+    witness = invariance_witness(M)
     is_invariant = witness is None
     if not is_invariant:
         first_failure = ("invariance",) + witness
@@ -132,7 +136,7 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
     firsts = [0] if is_invariant and not full else range(n)
     is_bh = True
     checked = 0
-    for a, b0, ok in _pair_blocks(E, h, firsts):
+    for a, b0, ok in _pair_blocks(M.E, h, firsts):
         bad = np.flatnonzero(~ok)
         if len(bad) == 0:
             checked += len(ok)

@@ -95,6 +95,11 @@ _MALFORMED = {
     "dims-0": ("array h=2 dims=0\n", ["verify-array", "{file}"]),
     "dims-2-0": ("array h=2 dims=2,0\n", ["verify-array", "{file}"]),
     "length-0": (None, ["solve-sum", "--length", "0", "--order", "6"]),
+    "array-repeated-key": ("array h=2 dims=2 dims=2\n0 1\n", ["verify-array", "{file}"]),
+    # callables edit a valid BH(Z_118, 236) file written by `construct`
+    "extra-row": (lambda valid: valid + valid.splitlines()[-1] + "\n", ["verify", "{file}"]),
+    "trailing-text": (lambda valid: valid + "hello world\n", ["verify", "{file}"]),
+    "repeated-h": (lambda valid: valid.replace("h=236", "h=236 h=5", 1), ["verify", "{file}"]),
 }
 
 
@@ -102,6 +107,9 @@ _MALFORMED = {
 def test_malformed_input_exits_2(case, tmp_path, monkeypatch, capsys):
     text, argv = _MALFORMED[case]
     monkeypatch.chdir(tmp_path)
+    if callable(text):
+        assert run("construct", "group", "--order", "118", "--h", "236", "--out", "c118.bh") == 0
+        text = text((tmp_path / "c118.bh").read_text())
     if text is not None:
         (tmp_path / "input.txt").write_text(text)
     # main must return, not raise

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from butson import fileio
 from butson.arrays import PerfectArray, verify_perfect
 from butson.errors import ButsonError
-from butson.groups import GroupRingElt, make_abelian
-from butson.verify import materialize, verify_bh
+from butson.groups import GroupRingElt, make_abelian, make_cyclic
+from butson.verify import BhMatrix, materialize, verify_bh
 
 from conftest import quaternion_table
 
@@ -60,6 +70,7 @@ def test_readers_name_the_file_on_bad_input(tmp_path):
     for text, reader in [("", fileio.read_matrix), ("bh h=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
                          ("bh h=-1 order=1\ncyclic 1\n0\n", fileio.read_matrix),
                          ("bh h=2 order=2\ncyclic 2\n0 x\n0 1\n", fileio.read_matrix),
+                         ("bh h=2 order=2\ncyclic 2\n0 1 # note\n1 0\n", fileio.read_matrix),
                          ("array h=2\n0 1\n", fileio.read_array), ("array h 2\n", fileio.read_array),
                          (None, fileio.read_matrix), (None, fileio.read_array)]:
         if text is None:
@@ -68,6 +79,71 @@ def test_readers_name_the_file_on_bad_input(tmp_path):
             path.write_text(text)
         with pytest.raises(ButsonError, match=str(path)):
             reader(path)
+
+
+@pytest.mark.parametrize("text,reader", [
+    ("bh h=2 h=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
+    ("bh h=4 order=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
+    ("array h=2 h=3 dims=2\n0 1\n", fileio.read_array),
+    ("array h=2 dims=2 dims=2\n0 1\n", fileio.read_array),
+])
+def test_repeated_header_keys_are_rejected(tmp_path, text, reader):
+    path = tmp_path / "dup.txt"
+    path.write_text(text)
+    with pytest.raises(ButsonError, match="repeated header key"):
+        reader(path)
+
+
+@pytest.mark.parametrize("extra", ["0 1\n", "hello world\n", "1\n"])
+def test_matrix_body_must_have_exactly_order_rows(tmp_path, extra):
+    path = tmp_path / "m.bh"
+    path.write_text(fileio.format_matrix(sample_matrix()) + extra)
+    with pytest.raises(ButsonError, match="expected 4 rows of 4 exponents"):
+        fileio.read_matrix(path)
+    path.write_text("bh h=2 order=2\ncyclic 2\n0 0\n")
+    with pytest.raises(ButsonError, match="expected 2 rows of 2 exponents"):
+        fileio.read_matrix(path)
+
+
+_BODY_CHARS = st.sampled_from(list("0123 -+#.\n\t")) | st.characters(blacklist_categories=("Cs",))
+
+
+@given(st.text(_BODY_CHARS, max_size=40))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_matrix_body_text_raises_only_butson_errors(tmp_path, body):
+    path = tmp_path / "fuzz.bh"
+    path.write_text("bh h=3 order=2\ncyclic 2\n" + body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            M = fileio.read_matrix(path)
+        except ButsonError:
+            return
+    assert M.E.shape == (2, 2) and M.E.dtype == np.int64
+
+
+def test_non_ascii_body_exits_2_without_crashing(tmp_path):
+    # numpy 2.4's loadtxt segfaults on this character, so the check runs in
+    # its own process: a regression must not take the test session down
+    path = tmp_path / "u.bh"
+    path.write_text("bh h=3 order=1\ncyclic 1\n\U0006c696\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "butson.cli", "verify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("error:"), proc.stderr
+
+
+def test_writers_match_str_join_reference():
+    rng = random.Random(236)
+    G = make_cyclic(12)
+    rows = [[rng.randrange(236) for _ in range(12)] for _ in range(12)]
+    want = ["bh h=236 order=12", "cyclic 12"] + [" ".join(str(e) for e in r) for r in rows]
+    assert fileio.format_matrix(BhMatrix(236, G, rows)) == "\n".join(want) + "\n"
+    A = PerfectArray((2, 3, 4), 105, tuple(rng.randrange(105) for _ in range(24)))
+    flat = [str(e) for e in A.exponents]
+    want = ["array h=105 dims=2,3,4"] + [" ".join(flat[i : i + 4]) for i in range(0, 24, 4)]
+    assert fileio.format_array(A) == "\n".join(want) + "\n"
 
 
 def test_group_spec_errors_are_butson_errors(tmp_path):
@@ -104,7 +180,7 @@ def test_parse_group_spec_forms():
 def test_array_round_trip(tmp_path):
     A = PerfectArray((2, 4), 4, (0, 1, 2, 3, 1, 0, 3, 2))
     path = tmp_path / "a.arr"
-    fileio.write_array(A, path)
+    path.write_text(fileio.format_array(A))
     back = fileio.read_array(path)
     assert back == A
 

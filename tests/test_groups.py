@@ -66,7 +66,7 @@ def test_dihedral_group():
     assert order_histogram(G) == {1: 1, 2: 5, 4: 2}
 
 
-@pytest.mark.parametrize("factors", [[1], [6], [2, 3], [3, 3], [2, 3, 4]])
+@pytest.mark.parametrize("factors", [[1], [6], [2, 3], [3, 3], [2, 3, 4], [2, 1, 3, 2, 2, 2]])
 def test_make_abelian_table_matches_definition(factors):
     G = make_abelian(factors)
     for a in G.elements():

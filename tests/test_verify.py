@@ -55,6 +55,22 @@ def test_materialize_matches_definition():
     assert all(type(e) is int for row in M.exponents for e in row)
 
 
+def test_bh_matrix_holds_one_read_only_reduced_array():
+    G = make_cyclic(2)
+    rows = [[0, -1], [5, 2]]
+    M = BhMatrix(4, G, rows)
+    assert M.E.dtype == np.int64 and not M.E.flags.writeable
+    assert M.E.tolist() == [[0, 3], [1, 2]]
+    assert M.exponents == ((0, 3), (1, 2))
+    assert all(type(e) is int for row in M.exponents for e in row)
+    src = np.array(rows)
+    BhMatrix(4, G, src)
+    assert src.flags.writeable and src.tolist() == rows  # the caller's array is untouched
+    bad = M.with_entry(0, 1, 6)
+    assert bad.E.tolist() == [[0, 2], [1, 2]] and M.E.tolist() == [[0, 3], [1, 2]]
+    assert not bad.E.flags.writeable
+
+
 def test_materialize_rejects_non_unimodular():
     G = make_cyclic(2)
     D = GroupRingElt(G, 4, (CycInt.integer(4, 2), CycInt.root(4, 1)))
