@@ -29,13 +29,14 @@ class PerfectArray:
     def __post_init__(self) -> None:
         if len(self.exponents) != math.prod(self.dims):
             raise ValueError("exponent count must match the dimensions")
+        object.__setattr__(self, "exponents", tuple(e % self.h for e in self.exponents))
 
     def tensor(self) -> np.ndarray:
         return np.array(self.exponents, dtype=np.int64).reshape(self.dims)
 
     def with_entry(self, flat_index: int, e: int) -> "PerfectArray":
         exps = list(self.exponents)
-        exps[flat_index] = e % self.h
+        exps[flat_index] = e
         return PerfectArray(self.dims, self.h, tuple(exps))
 
 

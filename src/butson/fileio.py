@@ -19,6 +19,7 @@ and both writers gather the strings of 0..h-1 over an int array.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import ButsonError, NotAGroup
 from .groups import (
     FiniteGroup,
     make_abelian,
+    make_cyclic,
     make_from_table,
     make_semidirect,
     parse_cayley_table,
@@ -54,8 +56,7 @@ def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
         if not lines or lines[0].split()[0] != tag:
             raise ButsonError(f"{path}: not {what} file")
         pairs = [kv.split("=") for kv in lines[0].split()[1:]]
-        fields = dict(pairs)
-        if len(fields) != len(pairs):
+        if len(fields := dict(pairs)) != len(pairs):
             raise ButsonError(f"{path}: repeated header key")
         h = int(fields.pop("h"))
     if h < 1:
@@ -85,8 +86,10 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         nums = [int(x) for x in arg.split(",")]
     except ValueError:
         raise ButsonError(f"bad group descriptor {spec!r}") from None
-    if kind == "abelian" or (kind == "cyclic" and len(nums) == 1):
-        return make_abelian(nums)  # one factor is described as cyclic
+    if kind == "abelian":
+        return make_abelian(nums)
+    if kind == "cyclic" and len(nums) == 1:
+        return make_cyclic(nums[0])
     if kind == "semidirect" and len(nums) == 3:
         return make_semidirect(*nums)
     raise ButsonError(f"bad group descriptor {spec!r}")
@@ -108,22 +111,21 @@ def read_matrix(path: str | Path) -> BhMatrix:
     with _reading(path):
         order = int(fields["order"])
         spec, body = lines[0], lines[1:]
-        # numpy's parser warns on no rows, and some non-ASCII text crashes it
-        # (numpy 2.4, e.g. U+6C696), so it sees neither; "#" is no comment
-        ok = len(body) == order > 0 and all(map(str.isascii, body))
+        # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
+        # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text
+        ok = len(body) == order > 0 and all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in body)
         E = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2) if ok else None
     group = parse_group_spec(spec, base_dir=path.parent)
     if group.order != order:
         raise ButsonError(f"{path}: order header disagrees with the group")
     if E is None or E.shape != (order, order):
-        raise ButsonError(f"{path}: expected {order} rows of {order} exponents")
+        raise ButsonError(f"{path}: expected {order} rows of {order} exponents, each an integer")
     return BhMatrix(h, group, E)
 
 
 def format_array(A: PerfectArray) -> str:
     dims = ",".join(str(d) for d in A.dims)
-    rows = np.array(A.exponents, dtype=np.int64).reshape(-1, A.dims[-1]) % A.h
-    return _format([f"array h={A.h} dims={dims}"], rows, A.h)
+    return _format([f"array h={A.h} dims={dims}"], A.tensor().reshape(-1, A.dims[-1]), A.h)
 
 
 def read_array(path: str | Path) -> PerfectArray:
@@ -131,7 +133,7 @@ def read_array(path: str | Path) -> PerfectArray:
     h, fields, lines = _read_file(path, "array", "an array")
     with _reading(path):
         dims = tuple(int(x) for x in fields["dims"].split(","))
-        flat = [int(x) % h for ln in lines for x in ln.split()]
+        flat = [int(x) for ln in lines for x in ln.split()]
     if min(dims) < 1:
         raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if len(flat) != math.prod(dims):

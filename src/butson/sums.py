@@ -133,7 +133,11 @@ def unit_sum(L: int, h: int, target: int) -> SumWitness:
         if exps is not None:
             return _checked(SumWitness(h, tuple(exps), target))
     if L <= _SEARCH_MAX_LEN and h**L <= _SEARCH_CAP:
+        goal = CycInt.root(h, target)
         for combo in combinations_with_replacement(range(h), L):
-            if (w := SumWitness(h, combo, target)).check():
-                return w
+            acc = CycInt.zero(h)
+            for e in combo:
+                acc = acc + CycInt.root(h, e)
+            if is_zero(acc - goal):
+                return SumWitness(h, combo, target)
     raise NoSolution(f"no sum of {L} order-{h} roots equal to zeta^{target} found")

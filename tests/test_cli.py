@@ -96,6 +96,10 @@ _MALFORMED = {
     "dims-2-0": ("array h=2 dims=2,0\n", ["verify-array", "{file}"]),
     "length-0": (None, ["solve-sum", "--length", "0", "--order", "6"]),
     "array-repeated-key": ("array h=2 dims=2 dims=2\n0 1\n", ["verify-array", "{file}"]),
+    "float-entry": ("bh h=2 order=2\ncyclic 2\n0 0\n0 1.0\n", ["verify", "{file}"]),
+    "exponent-entry": ("bh h=2 order=2\ncyclic 2\n1e3 0\n0 1\n", ["verify", "{file}"]),
+    "20-digit-entry": ("bh h=2 order=2\ncyclic 2\n0 0\n0 10000000000000000001\n",
+                       ["verify", "{file}"]),
     # callables edit a valid BH(Z_118, 236) file written by `construct`
     "extra-row": (lambda valid: valid + valid.splitlines()[-1] + "\n", ["verify", "{file}"]),
     "trailing-text": (lambda valid: valid + "hello world\n", ["verify", "{file}"]),
