@@ -3,9 +3,9 @@
 An abelian-group BH element with factors (n_1, ..., n_k) is stored directly
 as a k-dimensional exponent tensor; the array is perfect exactly when the
 group-ring element verifies, and both directions are testable here.
-`verify_perfect` histograms the differences for a batch of shifts at a time
-into one (shifts, h) array and zero-tests it with `cyclotomic.zero_rows`;
-`autocorrelation` computes a single shift and is the oracle.
+`verify_perfect` gathers a batch of shifted copies at a time and zero-tests
+their `groups.difference_histograms` against the array with
+`cyclotomic.zero_rows`; `autocorrelation` computes one shift and is the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclotomic import CycInt, zero_rows
 from .errors import NonUnimodular, NotAbelianFactored
-from .groups import CHUNK_CELLS, GroupRingElt
+from .groups import CHUNK_CELLS, GroupRingElt, difference_histograms
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ def verify_perfect(A: PerfectArray) -> bool:
         for ax, d in enumerate(A.dims):
             idx *= d
             idx += (shifts[ax][:, None] + coords[ax]) % d
-        cells = (flat - flat[idx]) % h
-        cells += (np.arange(len(idx)) * h)[:, None]
-        hist = np.bincount(cells.ravel(), minlength=len(idx) * h)
-        if not zero_rows(hist.reshape(len(idx), h)).all():
+        # each row is the conjugate of the autocorrelation at its shift
+        if not zero_rows(difference_histograms(flat[idx], flat[None], h)[:, 0]).all():
             return False
     return True

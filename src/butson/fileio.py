@@ -12,8 +12,8 @@ Array file::
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
 Table paths are resolved relative to the matrix file's directory.  Header
-keys may not repeat.  Matrix bodies are parsed by numpy into `BhMatrix.E`,
-and both writers gather the strings of 0..h-1 over an int array.
+keys may not repeat.  Both bodies must be ASCII integer tokens and are parsed
+by numpy, and both writers gather the strings of 0..h-1 over an int array.
 """
 
 from __future__ import annotations
@@ -105,16 +105,22 @@ def format_matrix(M: BhMatrix) -> str:
     return _format([f"bh h={M.h} order={M.group.order}", M.group.descriptor], M.E, M.h)
 
 
+def _integers(lines: list[str]) -> np.ndarray | None:
+    """Lines of ASCII integer tokens as int64 rows, else None; ragged rows raise ValueError."""
+    # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
+    # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text
+    if lines and all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in lines):
+        return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    return None
+
+
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
     h, fields, lines = _read_file(path, "bh", "a matrix")
     with _reading(path):
         order = int(fields["order"])
         spec, body = lines[0], lines[1:]
-        # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
-        # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text
-        ok = len(body) == order > 0 and all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in body)
-        E = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2) if ok else None
+        E = _integers(body) if len(body) == order else None
     group = parse_group_spec(spec, base_dir=path.parent)
     if group.order != order:
         raise ButsonError(f"{path}: order header disagrees with the group")
@@ -133,9 +139,9 @@ def read_array(path: str | Path) -> PerfectArray:
     h, fields, lines = _read_file(path, "array", "an array")
     with _reading(path):
         dims = tuple(int(x) for x in fields["dims"].split(","))
-        flat = [int(x) for ln in lines for x in ln.split()]
+        flat = _integers([" ".join(lines)] if lines else [])  # entries may wrap anywhere
     if min(dims) < 1:
         raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
-    if len(flat) != math.prod(dims):
-        raise ButsonError(f"{path}: entry count does not match dims")
-    return PerfectArray(dims, h, tuple(flat))
+    if flat is None or flat.size != math.prod(dims):
+        raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
+    return PerfectArray(dims, h, tuple(flat[0].tolist()))

@@ -281,30 +281,39 @@ def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     return GroupRingElt(G, h, tuple(out))
 
 
-# cells gathered per batch by the product histograms; bounds their memory
+# cells gathered per batch by the difference histograms; bounds their memory
 CHUNK_CELLS = 1 << 20
+
+
+def difference_histograms(X: np.ndarray, Y: np.ndarray, h: int) -> np.ndarray:
+    """Counts [i, j, t] of the b with X[i, b] - Y[j, b] = t (mod h), entries in 0..h-1.
+
+    Entry [i, j] read as sum_t [i, j, t] zeta_h^t is the inner product of
+    zeta_h^X[i] with zeta_h^Y[j]; every exact check histograms through here.
+    """
+    p, q = len(X), len(Y)
+    # X - Y + h lies in 1..2h-1, and bins t and t + h hold the same power of
+    # zeta_h: folding them spares a modulo of every cell
+    cells = (np.arange(p * q) * 2 * h + h).reshape(p, q, 1) - Y
+    cells += X[:, None]
+    hist = np.bincount(cells.ravel(), minlength=p * q * 2 * h).reshape(p, q, 2 * h)
+    return hist[..., :h] + hist[..., h:]
 
 
 def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Coefficient histograms of x * y^(-1) for each row y of Y, all unimodular.
 
     x is an (n,) vector and Y an (m, n) array of exponents in 0..h-1.  Entry
-    [j, g, t] of the (m, n, h) result counts the pairs (a, b) with
-    a * b^(-1) = g and x[a] - Y[j, b] = t (mod h), so the coefficient of g in
-    x * y_j^(-1) is sum_t [j, g, t] zeta_h^t.  Rows a of the Cayley table are
-    gathered in chunks of at most about CHUNK_CELLS cells.
+    [j, g, t] of the (m, n, h) result counts the b with x[g b] - Y[j, b] = t
+    (mod h): the coefficient of g in x * y_j^(-1) is sum_t [j, g, t] zeta_h^t.
+    The rows x[table[g]] are histogrammed in chunks of about CHUNK_CELLS cells.
     """
     n, m = G.order, len(Y)
-    hist = np.zeros(m * n * h, dtype=np.int64)
-    base = (np.arange(m) * n)[:, None, None]
+    hist = np.empty((m, n, h), dtype=np.int64)
     step = max(1, CHUNK_CELLS // (m * n))
-    for a0 in range(0, n, step):
-        a = slice(a0, a0 + step)
-        cells = base + G.table[a][:, G.inverse]
-        cells *= h
-        cells += (x[a, None] - Y[:, None, :]) % h
-        hist += np.bincount(cells.ravel(), minlength=len(hist))
-    return hist.reshape(m, n, h)
+    for g0 in range(0, n, step):
+        hist[:, g0 : g0 + step] = difference_histograms(x[G.table[g0 : g0 + step]], Y, h).swapaxes(0, 1)
+    return hist
 
 
 def gr_conj_inv(x: GroupRingElt) -> GroupRingElt:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .cyclotomic import _poly_divmod_monic
 from .errors import NotAUnit, UnsupportedRing
 
 
@@ -39,19 +40,11 @@ def _poly_mod_mul(a, b, modulus, p):
 
 def _has_root_free_factor(poly, p, degree):
     """True if poly (monic, coeffs mod p) has a monic divisor of given degree."""
-    for cand in product(range(p), repeat=degree):
-        div = list(cand) + [1]
-        rem = list(poly)
-        dd = degree
-        while len(rem) > dd:
-            c = rem.pop()
-            if c % p:
-                off = len(rem) - dd
-                for i in range(dd):
-                    rem[off + i] = (rem[off + i] - c * div[i]) % p
-        if all(c % p == 0 for c in rem):
-            return True
-    return False
+    # division by a monic divisor commutes with reduction mod p
+    return any(
+        all(c % p == 0 for c in _poly_divmod_monic(list(poly), list(cand) + [1])[1])
+        for cand in product(range(p), repeat=degree)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -60,10 +53,9 @@ def irreducible_poly(p: int, d: int) -> tuple[int, ...]:
     if d == 1:
         return (0, 1)  # x
     for cand in product(range(p), repeat=d):
-        poly = list(cand) + [1]
-        if any(_has_root_free_factor(tuple(poly), p, k) for k in range(1, d // 2 + 1)):
-            continue
-        return tuple(poly)
+        poly = cand + (1,)
+        if not any(_has_root_free_factor(poly, p, k) for k in range(1, d // 2 + 1)):
+            return poly
     raise ValueError(f"no irreducible polynomial of degree {d} mod {p}")
 
 

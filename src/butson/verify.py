@@ -1,18 +1,16 @@
 """Materialization and exact verification of Butson Hadamard matrices.
 
-Three independent routes are exposed: row inner products on the materialized
-`BhMatrix` (one read-only (n, n) int64 array `E` mod h, which `materialize`,
-`fileio` and the verifiers share without a copy), the group-ring product
-D D^(-1) = |G|, and (for abelian groups) character norms.  The first two
-histogram exponent differences in batches of bounded size into (N, h)
-integer arrays, one row per inner product or group-ring coefficient, and
-zero-test each batch with one `cyclotomic.zero_rows` call (an exact
-reduction mod Phi_h as a matrix product, in int64 only under a checked bound).
+`BhMatrix` holds one read-only (n, n) int64 array `E` mod h, which
+`materialize`, `fileio` and the verifiers share without a copy.  Every exact
+check gathers its own rows, counts their exponent differences with
+`groups.difference_histograms` in batches of bounded size, and zero-tests the
+(N, h) counts exactly with `cyclotomic.zero_rows`.
 
-`verify_bh` first checks G-invariance with one gather against column 0.  An
-invariant matrix has <row a, row b> = <row 0, row b a^(-1)>, so only the n-1
-products <row 0, row g> are zero-tested; the all-pairs route runs only for
-non-invariant input or when `full` is set, and serves as the oracle.
+`correlation_defects` tests D D^(-1) = |G|.  It serves `verify_group_ring`
+and `verify_bh` on a matrix found G-invariant by one gather: there
+<row 0, row g> is the conjugate of the coefficient of g in D D^(-1), with D
+the matrix's column 0.  Non-invariant input, or `full`, gets every row pair;
+that route, `verify_by_characters` and `gr_mul` are the oracles.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .groups import (
     GroupRingElt,
     apply_char,
     characters,
+    difference_histograms,
     gr_conj_inv,
     gr_mul,
     unimodular_products,
@@ -82,27 +81,24 @@ def materialize(G: FiniteGroup, D: GroupRingElt) -> BhMatrix:
     return BhMatrix(D.h, G, np.array(exps)[G.table[:, G.inverse]])
 
 
-def _pair_blocks(E: np.ndarray, h: int, firsts):
-    """Zero flags of <row a, row b> for b > a, per first row a in `firsts`.
+def _pair_blocks(E: np.ndarray, h: int):
+    """Zero flags of <row a, row b> for all b > a.
 
     Yields (a, b0, ok) with ok[i] for the pair (a, b0 + i), in the order of
     itertools.combinations, in chunks of at most about CHUNK_CELLS cells.
     """
     n = len(E)
     step = max(1, CHUNK_CELLS // n)
-    # E[a] - E[b] + h lies in 1..2h-1, and bins t and t + h hold the same
-    # power of zeta_h: folding them spares a modulo of every cell
-    offsets = (np.arange(step) * 2 * h + h)[:, None]
-    for a in firsts:
+    for a in range(n):
         for b0 in range(a + 1, n, step):
-            rows = E[b0 : b0 + step]
-            cells = np.subtract(offsets[: len(rows)], rows)
-            cells += E[a]
-            hist = np.bincount(cells.ravel(), minlength=len(rows) * 2 * h)
-            del cells
-            hist = hist.reshape(len(rows), 2 * h)
-            hist[:, :h] += hist[:, h:]
-            yield a, b0, zero_rows(hist[:, :h])
+            yield a, b0, zero_rows(difference_histograms(E[a][None], E[b0 : b0 + step], h)[0])
+
+
+def correlation_defects(G: FiniteGroup, h: int, e: np.ndarray) -> np.ndarray:
+    """The g, ascending, whose coefficient in D D^(-1) - |G| is nonzero, for D = sum zeta_h^e[g] g."""
+    hist = unimodular_products(G, h, e, e[None])[0]
+    hist[0, 0] -= G.order
+    return np.flatnonzero(~zero_rows(hist))
 
 
 def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
@@ -133,10 +129,17 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
     if not is_invariant:
         first_failure = ("invariance",) + witness
 
-    firsts = [0] if is_invariant and not full else range(n)
+    if is_invariant and not full:
+        # <row 0, row g> is the conjugate of the coefficient of g in D D^(-1),
+        # where D is column 0 (copied: gathering from it is then 3x faster)
+        ok = np.ones(n - 1, dtype=bool)
+        ok[correlation_defects(M.group, h, M.E[:, 0].copy()) - 1] = False
+        blocks = [(0, 1, ok)]
+    else:
+        blocks = _pair_blocks(M.E, h)
     is_bh = True
     checked = 0
-    for a, b0, ok in _pair_blocks(M.E, h, firsts):
+    for a, b0, ok in blocks:
         bad = np.flatnonzero(~ok)
         if len(bad) == 0:
             checked += len(ok)
@@ -156,16 +159,12 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
 def verify_group_ring(D: GroupRingElt) -> bool:
     """Exact check of D D^(-1) = |G| in the group ring.
 
-    A unimodular D is checked through its (n, h) coefficient histogram with
-    |G| taken off the identity's constant term; any other D goes through the
-    generic `gr_mul`.
+    A unimodular D goes through `correlation_defects`; any other D through
+    the generic `gr_mul`.
     """
     exps = D.monomial_exponents()
     if exps is not None:
-        e = np.array(exps, dtype=np.int64)
-        hist = unimodular_products(D.group, D.h, e, e[None])[0]
-        hist[0, 0] -= D.group.order
-        return bool(zero_rows(hist).all())
+        return len(correlation_defects(D.group, D.h, np.array(exps, dtype=np.int64))) == 0
     prod = gr_mul(D, gr_conj_inv(D))
     if not equals_integer(prod.coeffs[0], D.group.order):
         return False

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from butson import construct
+from butson import construct, verify
 from butson.cli import main
 
 from conftest import quaternion_table
@@ -96,6 +96,8 @@ _MALFORMED = {
     "dims-2-0": ("array h=2 dims=2,0\n", ["verify-array", "{file}"]),
     "length-0": (None, ["solve-sum", "--length", "0", "--order", "6"]),
     "array-repeated-key": ("array h=2 dims=2 dims=2\n0 1\n", ["verify-array", "{file}"]),
+    "array-underscore-entry": ("array h=2 dims=2\n0 1_1\n", ["verify-array", "{file}"]),
+    "array-arabic-indic-entry": ("array h=2 dims=2\n0 \u0661\n", ["verify-array", "{file}"]),
     "float-entry": ("bh h=2 order=2\ncyclic 2\n0 0\n0 1.0\n", ["verify", "{file}"]),
     "exponent-entry": ("bh h=2 order=2\ncyclic 2\n1e3 0\n0 1\n", ["verify", "{file}"]),
     "20-digit-entry": ("bh h=2 order=2\ncyclic 2\n0 0\n0 10000000000000000001\n",
@@ -138,6 +140,22 @@ def test_block_check_failure_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failed:")
     assert "cross product D_0 D_1^(-1) is nonzero" in err
+
+
+def test_construct_checks_its_result_once(monkeypatch, capsys):
+    # the constructor's self-check is the one D D^(-1) histogram of order n
+    orders = []
+    real = verify.correlation_defects
+    monkeypatch.setattr(verify, "correlation_defects",
+                        lambda G, h, e: orders.append(G.order) or real(G, h, e))
+    assert run("construct", "local-partition", "--family", "galois",
+               "--p", "2", "--d", "1", "--n", "2", "--t", "1", "--h", "2") == 0
+    assert orders == [16]
+    orders.clear()
+    assert run("construct", "group", "--order", "64", "--h", "8",
+               "--group", "semidirect:16,4,15") == 0
+    assert orders == [64]
+    assert "\nbh h=8 order=64\n" in capsys.readouterr().out
 
 
 def test_local_partition_round_trip(tmp_path, capsys):

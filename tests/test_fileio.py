@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -129,6 +130,25 @@ def test_matrix_body_text_raises_only_butson_errors(tmp_path, body):
         # only integer text is accepted, and it reads as its value mod h
         want = [" ".join(str(int(x) % 3) for x in ln.split()) for ln in body.splitlines() if ln.strip()]
         assert fileio.format_matrix(M).splitlines()[2:] == want
+
+
+@given(st.text(_BODY_CHARS, max_size=40) | _ROWS.map("\n".join))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_array_body_text_raises_only_butson_errors(tmp_path, body):
+    path = tmp_path / "fuzz.arr"
+    path.write_text("array h=3 dims=2,2\n" + body, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            A = fileio.read_array(path)
+        except ButsonError:
+            A = None
+    assert caught == []
+    if A is not None:
+        # only ASCII integer tokens are accepted, wrapped anyhow across lines
+        tokens = body.split()
+        assert all(re.fullmatch(r"[-+]?[0-9]+", x) for x in tokens), body
+        assert A.exponents == tuple(int(x) % 3 for x in tokens)
 
 
 def test_non_ascii_body_exits_2_without_crashing(tmp_path):

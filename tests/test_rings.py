@@ -140,6 +140,16 @@ def test_irreducible_poly_has_no_roots(p, d):
     assert len(poly) == d + 1 and poly[-1] == 1
     for r in range(p):
         assert sum(c * r**i for i, c in enumerate(poly)) % p != 0
+    # no monic factor of degree <= d/2 either: no product of two monic
+    # polynomials over F_p of degrees k and d - k equals it
+    for k in range(1, d // 2 + 1):
+        for a, b in itertools.product(itertools.product(range(p), repeat=k),
+                                      itertools.product(range(p), repeat=d - k)):
+            prod = [0] * (d + 1)
+            for i, x in enumerate(a + (1,)):
+                for j, y in enumerate(b + (1,)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            assert tuple(prod) != poly, (a, b)
 
 
 def test_invalid_parameters_rejected():

@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 
+from butson import arrays, groups, verify
+from butson.arrays import PerfectArray, autocorrelation, to_array, verify_perfect
 from butson.construct import (
     block_count,
     construct_group_bh,
@@ -331,3 +333,39 @@ def test_batched_verdicts_match_scalar_reference(large_cases):
                 got = (report.is_bh, report.is_invariant, report.first_failure, report.pairs_checked)
                 assert got == _scalar_verdict(bad, full), (D.group.descriptor, full)
                 assert not report.is_bh
+
+
+def test_kernels_match_oracles_across_chunk_boundaries(monkeypatch, instance_gallery):
+    # small chunks, so that every batched kernel runs several, the last one short
+    for mod in (groups, verify, arrays):
+        monkeypatch.setattr(mod, "CHUNK_CELLS", 1000)
+    rng = random.Random(1000)
+    semi = _group_instance(make_semidirect(16, 4, 15))
+    for D in (semi, _relabelled(semi, random.Random(16))):
+        G, h = D.group, 12
+        x = np.array([rng.randrange(h) for _ in G.elements()])
+        Y = np.array([[rng.randrange(h) for _ in G.elements()] for _ in range(3)])
+        hist = unimodular_products(G, h, x, Y)
+        X = GroupRingElt.from_exponents(G, h, x.tolist())
+        for j, y in enumerate(Y):
+            prod = gr_mul(X, gr_conj_inv(GroupRingElt.from_exponents(G, h, y.tolist())))
+            for g in G.elements():
+                assert is_zero(CycInt(h, tuple(hist[j, g].tolist())) - prod.coeffs[g]), (j, g)
+        M = materialize(G, D)
+        n = G.order
+        mutants = [materialize(G, bad) for bad in _coefficient_mutants(D, rng, 2)]
+        # not invariant, and its first failing pair (0, n - 1) lies in a later chunk
+        mutants.append(M.with_entry(n - 1, n - 2, M.E[n - 1, n - 2] + 1))
+        for bad in [M, *mutants]:
+            for full in (False, True):
+                report = verify_bh(bad, full=full)
+                got = (report.is_bh, report.is_invariant, report.first_failure, report.pairs_checked)
+                assert got == _scalar_verdict(bad, full), (G.descriptor, full)
+    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    assert A.dims == (9, 9)
+    size = len(A.exponents)
+    shifts = [s for s in itertools.product(*map(range, A.dims)) if any(s)]
+    for B in [A, A.with_entry(size - 1, A.exponents[-1] + 1),
+              PerfectArray(A.dims, A.h, tuple(rng.randrange(A.h) for _ in range(size)))]:
+        assert verify_perfect(B) == all(is_zero(autocorrelation(B, s)) for s in shifts)
+    assert verify_perfect(A)
