@@ -1,6 +1,15 @@
-"""Command-line frontend: construct, verify, and export in batch runs."""
+"""Command-line frontend: construct, verify, and export in batch runs.
+
+numpy runs with one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
+"""
 
 from __future__ import annotations
+
+import os
+
+# No code path in the package calls BLAS, yet OpenBLAS starts one spinning
+# thread per core when numpy loads; this must run before the imports below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json

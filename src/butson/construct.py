@@ -258,9 +258,9 @@ def construct_partition_bh(
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
+    G, pair_index = ring_square_group(R)  # refuses a too-large R x R first
     parts = partition_R(R, t, seed=seed)
     part_of = {x: i for i, part in enumerate(parts) for x in part}
-    G, pair_index = ring_square_group(R)
     exps = [0] * G.order
     for x in R.elements:
         fx = R.phi(x)

@@ -91,3 +91,7 @@ class NotAbelianFactored(ButsonError):
 
 class SelfCheckFailed(ButsonError):
     """A constructor's exact check of its own output failed."""
+
+
+class TooLarge(ButsonError):
+    """A Cayley table would not fit in the machine's physical memory."""

@@ -11,13 +11,15 @@ machinery consumes.
 
 Only `make_from_table` checks the group axioms: a table from outside is the
 one input that can fail them.  `make_abelian` and `make_semidirect` reject
-bad parameters and then build groups by construction, so they skip the
+bad parameters, and orders whose table would not fit in physical memory
+(`TooLarge`), and then build groups by construction, so they skip the
 O(n^3) check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
     OrderMismatch,
+    TooLarge,
 )
 
 
@@ -86,6 +89,22 @@ def _check_axioms(table: np.ndarray) -> None:
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, e.g. on Windows
+        return None
+    return pages * size if pages > 0 and size > 0 else None  # -1: indeterminate
+
+
+def _check_fits(order: int, what: str) -> None:
+    """Refuse a group whose (order, order) np.intp table exceeds physical memory."""
+    phys = _physical_memory()
+    if phys is not None and order * order * np.dtype(np.intp).itemsize > phys:
+        raise TooLarge(f"{what} has order {order}: its Cayley table would not fit in physical memory")
+
+
 def _finish(table: np.ndarray, descriptor: str, factors=None) -> FiniteGroup:
     """Freeze a group's (n, n) np.intp table; all builders end here."""
     inverse = np.nonzero(table == 0)[1]
@@ -104,14 +123,15 @@ def make_abelian(factors) -> FiniteGroup:
     factors = tuple(int(f) for f in factors)
     if not factors or any(f < 1 for f in factors):
         raise InvalidParams(f"abelian factors must be positive, got {factors}")
+    desc = "abelian " + ",".join(str(f) for f in factors)
+    if len(factors) == 1:
+        desc = f"cyclic {factors[0]}"
+    _check_fits(math.prod(factors), desc)
     # Kronecker steps: element a*f + x of (G so far) x Z_f is the pair (a, x)
     table = np.zeros((1, 1), dtype=np.intp)
     for f in factors:
         m, c = len(table), np.arange(f, dtype=np.intp)
         table = (table[:, None, :, None] * f + ((c[:, None] + c) % f)[:, None, :]).reshape(m * f, m * f)
-    desc = "abelian " + ",".join(str(f) for f in factors)
-    if len(factors) == 1:
-        desc = f"cyclic {factors[0]}"
     return _finish(table, desc, factors=factors)
 
 
@@ -144,6 +164,7 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
         raise InvalidAction("m and k must be positive")
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
+    _check_fits(m * k, f"semidirect {m},{k},{t}")
     tp = np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
     i, j = np.divmod(np.arange(m * k), k)  # element i*k + j is (i, j)
     table = (i[:, None] + tp[j][:, None] * i) % m * k + (j[:, None] + j) % k
@@ -152,7 +173,10 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
 
 def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
     """Validate an explicit Cayley table; rejected unless the axioms pass."""
-    arr = np.array(table, dtype=np.intp)
+    try:
+        arr = np.array(table, dtype=np.intp)
+    except OverflowError:
+        raise NotAGroup("table entries out of range") from None
     _check_axioms(arr)
     return _finish(arr, descriptor)
 

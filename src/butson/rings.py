@@ -20,6 +20,7 @@ from itertools import product
 
 from .cyclotomic import _poly_divmod_monic
 from .errors import NotAUnit, UnsupportedRing
+from .groups import _physical_memory
 
 
 def _poly_mod_mul(a, b, modulus, p):
@@ -65,7 +66,18 @@ class ChainRing:
     def __init__(self, family: str, p: int, d: int, n: int):
         if family not in ("galois", "truncated"):
             raise UnsupportedRing(f"unknown family {family!r}")
-        if p < 2 or d < 1 or n < 1 or not _is_prime(p):
+        if p < 2 or d < 1 or n < 1:
+            raise UnsupportedRing(f"bad parameters p={p}, d={d}, n={n}")
+        # refuse a ring too large to list before enumerating it: each element
+        # is a tuple of at most d*n entries plus an index entry, under
+        # 8*d*n + 160 bytes; d*n >= 64 alone means |R| >= 2^64, and p^(d*n)
+        # is never formed for such an exponent
+        phys = _physical_memory()
+        if d * n >= 64 or (phys is not None and p ** (d * n) * (8 * d * n + 160) > phys):
+            raise UnsupportedRing(
+                f"{family} ring p={p}, d={d}, n={n} has {p}^{d * n} elements: too many to list in physical memory"
+            )
+        if not _is_prime(p):
             raise UnsupportedRing(f"bad parameters p={p}, d={d}, n={n}")
         self.family = family
         self.p, self.d, self.n = p, d, n

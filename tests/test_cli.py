@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,28 @@ def test_export_array_exit_codes(tmp_path, capsys):
         "--group", "semidirect:4,2,3", "--out", str(d4))
     assert run("export-array", str(d4), "--out", str(arr)) == 2
     assert "NotAbelianFactored" in capsys.readouterr().err
+
+
+def test_ring_info_lists_rings_whose_square_has_no_table(capsys):
+    # GF(256) is listed at once; only a construction over R x R needs its table
+    assert run("ring-info", "--family", "galois", "--p", "2", "--d", "8",
+               "--n", "1", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 256
+
+
+@pytest.mark.parametrize("argv", [
+    # Cayley tables of 80 PB and 6.5 EB, a ring of 10^15 elements, and
+    # R x R of order 2^28 over a ring of 2^14 elements
+    ["construct", "group", "--order", "7", "--h", "7", "--group", "cyclic:100000000"],
+    ["construct", "group", "--order", "7", "--h", "7", "--group", "abelian:30000,30000"],
+    ["ring-info", "--family", "galois", "--p", "99991", "--d", "3", "--n", "1"],
+    ["construct", "local-partition", "--family", "truncated", "--p", "2", "--d", "1",
+     "--n", "14", "--t", "1", "--h", "2"],
+])
+def test_oversized_groups_and_rings_exit_2_before_allocating(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "butson.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(("error: TooLarge:", "error: UnsupportedRing:")), proc.stderr

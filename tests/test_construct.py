@@ -38,6 +38,7 @@ from butson.errors import (
     NotNormal,
     SchemeViolation,
     SelfCheckFailed,
+    TooLarge,
     UnsupportedRing,
     WrongSubgroupOrder,
 )
@@ -196,6 +197,21 @@ def test_partition_bh_rejects_bad_etas():
         construct_partition_bh(R, 1, [0, 0], 2)  # 1 + 1 != 0
     with pytest.raises(BadEtaSum):
         construct_partition_bh(R, 1, [0, 1, 0], 2)  # wrong count
+
+
+def test_constructions_over_r_x_r_refuse_its_table_before_their_loops(monkeypatch):
+    R = chain_ring("galois", 3, 1, 2)  # R x R has order 81: a 52 488-byte table
+    scheme = solve_coefficient_scheme(R, 6)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("partition_R ran before the R x R bound")
+
+    monkeypatch.setattr(construct, "partition_R", unreachable)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 50000, "SC_PAGE_SIZE": 1}.__getitem__)
+    with pytest.raises(TooLarge, match="order 81"):
+        construct_partition_bh(R, 1, list(zero_sum(3, 3).exps), 3)
+    with pytest.raises(TooLarge, match="order 81"):
+        construct_line_bh(R, scheme)
 
 
 # --- lines ------------------------------------------------------------------

@@ -151,6 +151,34 @@ def test_array_body_text_raises_only_butson_errors(tmp_path, body):
         assert A.exponents == tuple(int(x) % 3 for x in tokens)
 
 
+# small values build real groups (order <= 12^3); the huge ones must be refused
+_GROUP_NUMS = (st.integers(-3, 12) | st.integers(2**40, 2**300) | st.integers(-2**300, -2**40)).map(str)
+_DESCRIPTORS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["cyclic", "abelian", "semidirect", "table"]),
+    st.sampled_from([":", " ", ": "]),
+    st.lists(_GROUP_NUMS, min_size=1, max_size=3).map(",".join),
+)
+# n rows of n entries under "order n", so the table reaches the group axioms
+_TABLES = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(_GROUP_NUMS, min_size=n, max_size=n).map(" ".join), min_size=n, max_size=n)
+    .map(lambda rows: "\n".join([f"order {n}", *rows]))
+)
+
+
+@given(st.text(max_size=30) | _DESCRIPTORS, st.text(max_size=60) | _TABLES)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
+    # parse_group_spec("table:t") runs the table text through parse_cayley_table
+    (tmp_path / "t").write_text(table, encoding="utf-8")
+    for text in (spec, "table:t"):
+        try:
+            G = fileio.parse_group_spec(text, base_dir=tmp_path)
+        except ButsonError:
+            continue
+        assert G.table.shape == (G.order, G.order)
+
+
 def test_non_ascii_body_exits_2_without_crashing(tmp_path):
     # numpy 2.4's loadtxt segfaults on this character, so the check runs in
     # its own process: a regression must not take the test session down

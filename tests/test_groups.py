@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from butson.construct import find_normal_cyclic_generator
 from butson.cyclotomic import CycInt, equals_integer, is_zero
-from butson.errors import InvalidAction, InvalidParams, NotAbelian, NotAGroup, WrongSubgroupOrder
+from butson.errors import InvalidAction, InvalidParams, NotAbelian, NotAGroup, TooLarge, WrongSubgroupOrder
 from butson.groups import (
     GroupRingElt,
     _check_axioms,
@@ -174,6 +176,24 @@ def test_make_abelian_rejects_bad_factors():
             make_abelian(factors)
     with pytest.raises(InvalidParams):
         make_cyclic(0)
+
+
+def test_builders_refuse_tables_beyond_physical_memory(monkeypatch):
+    # a machine with 60000 bytes holds the 81^2 * 8 bytes of Z_81, not Z_100
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 60000, "SC_PAGE_SIZE": 1}.__getitem__)
+    assert make_cyclic(81).order == 81
+    with pytest.raises(TooLarge, match="order 100"):
+        make_abelian([10, 10])
+    with pytest.raises(TooLarge):
+        make_semidirect(25, 4, 7)
+
+
+def test_builders_skip_the_memory_bound_where_sysconf_cannot_tell(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", lambda name: -1)  # indeterminate
+    assert make_abelian([2, 3]).order == 6
+    monkeypatch.delattr(os, "sysconf")  # as on Windows
+    assert make_cyclic(5).order == 5
+    assert make_semidirect(5, 4, 2).order == 20
 
 
 def test_quaternion_group(q8_table):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import time
 
 import pytest
 
-from butson.errors import ButsonError
+from butson.errors import ButsonError, UnsupportedRing
 from butson.groups import make_abelian
 from butson.rings import chain_ring, irreducible_poly
 
@@ -157,6 +159,25 @@ def test_invalid_parameters_rejected():
         chain_ring("galois", 4, 1, 2)  # 4 is not prime
     with pytest.raises(ButsonError):
         chain_ring("twисted", 2, 1, 2)
+
+
+def test_rings_too_large_to_list_are_refused_before_enumeration(monkeypatch):
+    t0 = time.perf_counter()
+    # neither 2^(10^12) nor a primality test of a 31-digit p is ever computed
+    for p, d, n in [(2, 10**12, 1), (10**30 + 57, 1, 1)]:
+        with pytest.raises(UnsupportedRing, match="too many to list"):
+            chain_ring("galois", p, d, n)
+    assert time.perf_counter() - t0 < 5
+    # a p small enough to list is checked for primality, with the usual message
+    with pytest.raises(UnsupportedRing, match=r"^bad parameters p=1000, d=1, n=1$"):
+        chain_ring("galois", 1000, 1, 1)
+    # 1700 bytes list 9 elements of 8*2 + 160 bytes, not 11 of 8 + 160
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1700, "SC_PAGE_SIZE": 1}.__getitem__)
+    assert chain_ring("galois", 3, 1, 2).size == 9
+    with pytest.raises(UnsupportedRing, match="too many to list"):
+        chain_ring("truncated", 11, 1, 1)
+    monkeypatch.delattr(os, "sysconf")  # as on Windows: no bound but d*n < 64
+    assert chain_ring("truncated", 11, 1, 1).size == 11
 
 
 def test_field_case_everything_is_unit_or_zero():
