@@ -7,7 +7,7 @@ The names in ``__all__`` are imported from their submodules on first access
 # submodule -> the names it exports here
 _EXPORTS = {
     "cyclotomic": ("CycInt", "cyclotomic_poly", "equals_integer", "gauss_sum", "is_zero", "norm_sq"),
-    "groups": ("FiniteGroup", "GroupRingElt", "make_abelian", "make_cyclic", "make_from_table", "make_semidirect"),
+    "groups": ("FiniteGroup", "GroupRingElt", "Unimodular", "make_abelian", "make_cyclic", "make_from_table", "make_semidirect"),
     "rings": ("ChainRing", "chain_ring"),
     "verify": ("BhMatrix", "VerifyReport", "materialize", "verify_bh", "verify_group_ring"),
     "arrays": ("PerfectArray", "autocorrelation", "to_array", "verify_perfect"),

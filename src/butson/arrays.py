@@ -10,51 +10,49 @@ their `groups.difference_histograms` against the array with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt, zero_rows
 from .errors import NonUnimodular, NotAbelianFactored
-from .groups import CHUNK_CELLS, GroupRingElt, difference_histograms
+from .groups import CHUNK_CELLS, GroupRingElt, Unimodular, as_unimodular, difference_histograms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerfectArray:
+    """Entry x is zeta_h^E[x]; E is read-only int64 mod h, shaped dims."""
+
     dims: tuple[int, ...]
     h: int
-    exponents: tuple[int, ...]  # row-major over dims
+    E: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.exponents) != math.prod(self.dims):
-            raise ValueError("exponent count must match the dimensions")
-        object.__setattr__(self, "exponents", tuple(e % self.h for e in self.exponents))
-
-    def tensor(self) -> np.ndarray:
-        return np.array(self.exponents, dtype=np.int64).reshape(self.dims)
+        E = (np.asarray(self.E, dtype=np.int64) % self.h).reshape(self.dims)
+        E.flags.writeable = False
+        object.__setattr__(self, "E", E)
 
     def with_entry(self, flat_index: int, e: int) -> "PerfectArray":
-        exps = list(self.exponents)
-        exps[flat_index] = e
-        return PerfectArray(self.dims, self.h, tuple(exps))
+        E = self.E.copy()
+        E.flat[flat_index] = e % self.h
+        return PerfectArray(self.dims, self.h, E)
 
 
-def to_array(D: GroupRingElt) -> PerfectArray:
+def to_array(D: Unimodular | GroupRingElt) -> PerfectArray:
     """Array entry at the coordinates of g = exponent of the coefficient of g."""
     if D.group.abelian_factors is None:
         raise NotAbelianFactored("array export needs an abelian group in factor form")
-    exps = D.monomial_exponents()
-    if exps is None:
+    U = as_unimodular(D)
+    if U is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
     # the group's element index is already row-major over its factors
-    return PerfectArray(D.group.abelian_factors, D.h, tuple(exps))
+    return PerfectArray(U.group.abelian_factors, U.h, U.e)
 
 
 def autocorrelation(A: PerfectArray, shift) -> CycInt:
     """Exact cyclic autocorrelation sum a_i * conj(a_{i+shift}) as a CycInt."""
     shift = tuple(int(s) % d for s, d in zip(shift, A.dims))
-    t = A.tensor()
+    t = A.E
     shifted = np.roll(t, tuple(-s for s in shift), axis=tuple(range(len(A.dims))))
     hist = np.bincount(((t - shifted) % A.h).ravel(), minlength=A.h)
     return CycInt(A.h, tuple(int(c) for c in hist))
@@ -63,7 +61,7 @@ def autocorrelation(A: PerfectArray, shift) -> CycInt:
 def verify_perfect(A: PerfectArray) -> bool:
     """True iff every nonzero cyclic shift has exactly zero autocorrelation."""
     h = A.h
-    flat = np.array(A.exponents, dtype=np.int64)
+    flat = A.E.reshape(-1)
     size = len(flat)
     coords = np.indices(A.dims).reshape(len(A.dims), size)
     step = max(1, CHUNK_CELLS // max(size, 1))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import arrays, construct, fileio
 from .errors import ButsonError, SelfCheckFailed
-from .groups import GroupRingElt
+from .groups import Unimodular
 from .rings import chain_ring
 from .sums import unit_sum, zero_sum
 from .verify import invariance_witness, materialize, verify_bh
@@ -98,9 +98,9 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output matrix file (default stdout)")
 
 
-def _emit_matrix(args, D, group) -> int:
+def _emit_matrix(args, D) -> int:
     # constructors check D D^(-1) = |G|: verify_bh's test of this matrix's column 0
-    text = fileio.format_matrix(materialize(group, D))
+    text = fileio.format_matrix(materialize(D.group, D))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -116,21 +116,21 @@ def _cmd_construct_group(args) -> int:
     k = construct.block_count(G.order, construct.min_h(G.order))
     gen = construct.find_normal_cyclic_generator(G, G.order // k)
     D = construct.construct_group_bh(G, gen, args.h, m=args.m)
-    return _emit_matrix(args, D, G)
+    return _emit_matrix(args, D)
 
 
 def _cmd_local_partition(args) -> int:
     R = chain_ring(args.family, args.p, args.d, args.n)
     etas = list(zero_sum(args.p**args.t, args.h).exps)
     D = construct.construct_partition_bh(R, args.t, etas, args.h, seed=args.seed)
-    return _emit_matrix(args, D, D.group)
+    return _emit_matrix(args, D)
 
 
 def _cmd_local_lines(args) -> int:
     R = chain_ring(args.family, args.p, args.d, args.n)
     scheme = construct.solve_coefficient_scheme(R, args.h)
     D = construct.construct_line_bh(R, scheme)
-    return _emit_matrix(args, D, D.group)
+    return _emit_matrix(args, D)
 
 
 def _cmd_verify(args) -> int:
@@ -157,7 +157,7 @@ def _cmd_export_array(args) -> int:
         print("matrix is not group-invariant; no array exists", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     # the coefficient of g is the matrix entry at (g, identity)
-    D = GroupRingElt.from_exponents(M.group, M.h, M.E[:, 0].tolist())
+    D = Unimodular(M.group, M.h, M.E[:, 0])
     Path(args.out).write_text(fileio.format_array(arrays.to_array(D)))
     return EXIT_OK
 

@@ -35,10 +35,9 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupRingElt,
+    Unimodular,
     cyclic_subgroup,
     coset_reps,
-    element_order,
     is_normal,
     make_abelian,
     make_cyclic,
@@ -98,7 +97,7 @@ class BlockParams:
         return cls(n, h, k, case, l, m)
 
 
-def build_blocks(params: BlockParams) -> list[GroupRingElt]:
+def build_blocks(params: BlockParams) -> list[Unimodular]:
     """k blocks over Z_{n/k} with pairwise-vanishing cross products."""
     n, h, k, m = params.n, params.h, params.k, params.m
     group = make_cyclic(n // k)
@@ -110,19 +109,19 @@ def build_blocks(params: BlockParams) -> list[GroupRingElt]:
             exps = [(j * j * k // 2 + m * i * j) % h for j in range(h)]
         else:  # Val1: group order h/2, doubled off-diagonal term
             exps = [(j * j * k + 2 * m * i * j) % h for j in range(h // 2)]
-        blocks.append(GroupRingElt.from_exponents(group, h, exps))
+        blocks.append(Unimodular(group, h, exps))
     _check_blocks(blocks, n)
     return blocks
 
 
-def _check_blocks(blocks: list[GroupRingElt], n: int) -> None:
+def _check_blocks(blocks: list[Unimodular], n: int) -> None:
     """Exact check that D_i D_j^(-1) = 0 for i != j and sum_i D_i D_i^(-1) = n.
 
     Blocks come from validated parameters, so a failure is a program error.
     The k^2 products are histogrammed one first block D_i at a time.
     """
     h, group = blocks[0].h, blocks[0].group
-    B = np.array([b.monomial_exponents() for b in blocks], dtype=np.int64)
+    B = np.array([b.e for b in blocks])
     k, c = B.shape
     diag = np.zeros((c, h), dtype=np.int64)
     for i in range(k):
@@ -140,7 +139,7 @@ def _check_blocks(blocks: list[GroupRingElt], n: int) -> None:
 
 def construct_group_bh(
     G: FiniteGroup, subgroup_generator: int, h: int, m: int = 1
-) -> GroupRingElt:
+) -> Unimodular:
     """BH element over G from blocks along a normal cyclic subgroup."""
     n = G.order
     h0 = min_h(n)
@@ -155,27 +154,16 @@ def construct_group_bh(
     if not is_normal(G, sub):
         raise NotNormal("the chosen cyclic subgroup is not normal")
 
-    params = BlockParams.plan(n, m)
-    blocks = build_blocks(params)
-    scale = h // h0
+    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
     reps = coset_reps(G, sub)
     assert len(reps) == k
-    exps = [None] * n
-    power = 0  # generator^j walked incrementally
-    powers = []
-    for _ in range(n // k):
-        powers.append(power)
-        power = G.mul(power, subgroup_generator)
-    for i, rep in enumerate(reps):
-        bexps = blocks[i].monomial_exponents()
-        for j, x in enumerate(powers):
-            g = G.mul(x, rep)
-            assert exps[g] is None
-            exps[g] = (bexps[j] * scale) % h
-    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
+    # entry j of block i is the coefficient of g^j r_i, g the generator
+    e = np.zeros(n, dtype=np.int64)
+    e[G.table[list(sub)][:, reps]] = B.T * (h // h0)
+    return _self_checked(Unimodular(G, h, e))
 
 
-def _self_checked(D: GroupRingElt) -> GroupRingElt:
+def _self_checked(D: Unimodular) -> Unimodular:
     """D itself, once D D^(-1) = |G| holds exactly; survives python -O."""
     if not verify_group_ring(D):
         raise SelfCheckFailed(f"the element built over {D.group.descriptor} fails D D^(-1) = |G|")
@@ -185,9 +173,8 @@ def _self_checked(D: GroupRingElt) -> GroupRingElt:
 def find_normal_cyclic_generator(G: FiniteGroup, order: int) -> int:
     """Generator of a normal cyclic subgroup of the given order, or raise."""
     for g in G.elements():
-        if element_order(G, g) != order:
-            continue
-        if is_normal(G, cyclic_subgroup(G, g)):
+        sub = cyclic_subgroup(G, g)
+        if len(sub) == order and is_normal(G, sub):
             return g
     raise WrongSubgroupOrder(f"no normal cyclic subgroup of order {order} in G")
 
@@ -252,21 +239,18 @@ def ring_square_group(R: ChainRing):
 
 def construct_partition_bh(
     R: ChainRing, t: int, etas: list[int], h: int, seed: int | None = None
-) -> GroupRingElt:
+) -> Unimodular:
     """BH element over (R x R, +) from a vanishing sum of p^t roots."""
     if len(etas) != R.p**t:
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
-    G, pair_index = ring_square_group(R)  # refuses a too-large R x R first
+    G, _ = ring_square_group(R)  # refuses a too-large R x R first
     parts = partition_R(R, t, seed=seed)
     part_of = {x: i for i, part in enumerate(parts) for x in part}
-    exps = [0] * G.order
-    for x in R.elements:
-        fx = R.phi(x)
-        for y in R.elements:
-            exps[pair_index(x, y)] = etas[part_of[R.mul(fx, y)]]
-    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
+    # element (x, y) has index idx(x) |R| + idx(y), and R lists in index order
+    exps = [etas[part_of[R.mul(fx, y)]] for fx in map(R.phi, R.elements) for y in R.elements]
+    return _self_checked(Unimodular(G, h, exps))
 
 
 # -- construction 3: line family over R x R ----------------------------------
@@ -411,7 +395,7 @@ def _check_scheme(R: ChainRing, s: CoefficientScheme, chain, pi_chain) -> None:
         raise NoScheme("top-level equation fails")
 
 
-def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> GroupRingElt:
+def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> Unimodular:
     """BH element over (R x R, +) from the weighted line family."""
     h = scheme.h
     G, pair_index = ring_square_group(R)
@@ -425,7 +409,7 @@ def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> GroupRingElt:
     exps = _collapse_to_roots(hist)
     if exps[pair_index(R.zero, R.zero)] != scheme.eta:
         raise SchemeViolation("coefficient of (0,0) does not equal eta")
-    return _self_checked(GroupRingElt.from_exponents(G, h, exps))
+    return _self_checked(Unimodular(G, h, exps))
 
 
 def _collapse_to_roots(hist: np.ndarray) -> list[int]:

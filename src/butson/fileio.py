@@ -131,7 +131,7 @@ def read_matrix(path: str | Path) -> BhMatrix:
 
 def format_array(A: PerfectArray) -> str:
     dims = ",".join(str(d) for d in A.dims)
-    return _format([f"array h={A.h} dims={dims}"], A.tensor().reshape(-1, A.dims[-1]), A.h)
+    return _format([f"array h={A.h} dims={dims}"], A.E.reshape(-1, A.dims[-1]), A.h)
 
 
 def read_array(path: str | Path) -> PerfectArray:
@@ -144,4 +144,4 @@ def read_array(path: str | Path) -> PerfectArray:
         raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
-    return PerfectArray(dims, h, tuple(flat[0].tolist()))
+    return PerfectArray(dims, h, flat)

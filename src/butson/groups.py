@@ -62,14 +62,6 @@ class FiniteGroup:
         return self is other or np.array_equal(self.table, other.table)
 
 
-def element_order(G: FiniteGroup, g: int) -> int:
-    n, x = 1, g
-    while x != 0:
-        x = G.mul(x, g)
-        n += 1
-    return n
-
-
 def _check_axioms(table: np.ndarray) -> None:
     n = table.shape[0]
     if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
@@ -196,11 +188,12 @@ def parse_cayley_table(text: str) -> list[list[int]]:
 
 
 def cyclic_subgroup(G: FiniteGroup, g: int) -> tuple[int, ...]:
+    """The powers 1, g, g^2, ... of g, in that order."""
     out, x = [0], g
     while x != 0:
         out.append(x)
         x = G.mul(x, g)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def is_normal(G: FiniteGroup, sub) -> bool:
@@ -268,13 +261,35 @@ class GroupRingElt:
         return cls(group, h, tuple(CycInt.root(h, e) for e in exps))
 
     def monomial_exponents(self) -> list[int] | None:
-        out = []
-        for c in self.coeffs:
-            e = c.monomial_exponent()
-            if e is None:
-                return None
-            out.append(e)
-        return out
+        out = [c.monomial_exponent() for c in self.coeffs]
+        return None if None in out else out
+
+
+@dataclass(frozen=True, eq=False)
+class Unimodular:
+    """D = sum_g zeta_h^e[g] g; e is read-only (order,) int64 mod h, like BhMatrix.E."""
+
+    group: FiniteGroup
+    h: int
+    e: np.ndarray
+
+    def __post_init__(self) -> None:
+        e = (np.asarray(self.e, dtype=np.int64) % self.h).reshape(self.group.order)
+        e.flags.writeable = False
+        object.__setattr__(self, "e", e)
+
+    @property
+    def coeffs(self) -> tuple[CycInt, ...]:
+        """The coefficients as CycInts, for the oracles that read a GroupRingElt."""
+        return tuple(CycInt.root(self.h, e) for e in self.e.tolist())
+
+
+def as_unimodular(D: "Unimodular | GroupRingElt") -> Unimodular | None:
+    """D itself if Unimodular; a GroupRingElt of single roots converted; else None."""
+    if isinstance(D, Unimodular):
+        return D
+    exps = D.monomial_exponents()
+    return None if exps is None else Unimodular(D.group, D.h, exps)
 
 
 def _check_pair(x: GroupRingElt, y: GroupRingElt) -> None:
@@ -353,16 +368,16 @@ def gr_equal(x: GroupRingElt, y: GroupRingElt) -> bool:
     return all(is_zero(a - b) for a, b in zip(x.coeffs, y.coeffs))
 
 
-def apply_char(table: CharacterTable, row_index: int, X: GroupRingElt) -> CycInt:
+def apply_char(table: CharacterTable, row_index: int, X: GroupRingElt | Unimodular) -> CycInt:
     """Character value as a CycInt over lcm(h, H)."""
     row = table.rows[row_index]
     L = math.lcm(X.h, table.H)
     sH = L // table.H
-    exps = X.monomial_exponents()
-    if exps is not None:
+    U = as_unimodular(X)
+    if U is not None:
         hist = [0] * L
         sh = L // X.h
-        for g, e in enumerate(exps):
+        for g, e in enumerate(U.e.tolist()):
             hist[(e * sh + row[g] * sH) % L] += 1
         return CycInt(L, tuple(hist))
     acc = CycInt.zero(L)

@@ -27,7 +27,9 @@ from .groups import (
     CharacterTable,
     FiniteGroup,
     GroupRingElt,
+    Unimodular,
     apply_char,
+    as_unimodular,
     characters,
     difference_histograms,
     gr_conj_inv,
@@ -73,12 +75,12 @@ class VerifyReport:
         return self.is_bh and self.is_invariant
 
 
-def materialize(G: FiniteGroup, D: GroupRingElt) -> BhMatrix:
+def materialize(G: FiniteGroup, D: Unimodular | GroupRingElt) -> BhMatrix:
     """Exponent matrix E[g][k] = exponent of the coefficient of g k^(-1)."""
-    exps = D.monomial_exponents()
-    if exps is None:
+    U = as_unimodular(D)
+    if U is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
-    return BhMatrix(D.h, G, np.array(exps)[G.table[:, G.inverse]])
+    return BhMatrix(U.h, G, U.e[G.table[:, G.inverse]])
 
 
 def _pair_blocks(E: np.ndarray, h: int):
@@ -156,22 +158,22 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
     return VerifyReport(is_bh, is_invariant, first_failure, ms, checked)
 
 
-def verify_group_ring(D: GroupRingElt) -> bool:
+def verify_group_ring(D: Unimodular | GroupRingElt) -> bool:
     """Exact check of D D^(-1) = |G| in the group ring.
 
     A unimodular D goes through `correlation_defects`; any other D through
     the generic `gr_mul`.
     """
-    exps = D.monomial_exponents()
-    if exps is not None:
-        return len(correlation_defects(D.group, D.h, np.array(exps, dtype=np.int64))) == 0
+    U = as_unimodular(D)
+    if U is not None:
+        return len(correlation_defects(U.group, U.h, U.e)) == 0
     prod = gr_mul(D, gr_conj_inv(D))
     if not equals_integer(prod.coeffs[0], D.group.order):
         return False
     return all(is_zero(c) for c in prod.coeffs[1:])
 
 
-def verify_by_characters(D: GroupRingElt, table: CharacterTable | None = None) -> bool:
+def verify_by_characters(D: Unimodular | GroupRingElt, table: CharacterTable | None = None) -> bool:
     """Abelian oracle: |chi(D)|^2 = |G| for every character chi."""
     if table is None:
         table = characters(D.group)

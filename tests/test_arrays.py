@@ -43,7 +43,7 @@ def test_to_array_of_group_element():
     G = make_abelian([4])
     D = GroupRingElt.from_exponents(G, 2, [0, 0, 0, 1])
     A = to_array(D)
-    assert A.dims == (4,) and A.h == 2 and A.exponents == (0, 0, 0, 1)
+    assert A.dims == (4,) and A.h == 2 and A.E.tolist() == [0, 0, 0, 1]
     assert verify_perfect(A)
 
 
@@ -69,7 +69,7 @@ def test_perfect_iff_matrix_valid(instance_gallery):
         A = to_array(D)
         assert verify_perfect(A), name
 
-        exps = list(D.monomial_exponents())
+        exps = D.e.tolist()
         g = rng.randrange(D.group.order)
         exps[g] = (exps[g] + rng.randrange(1, D.h)) % D.h
         bad = GroupRingElt.from_exponents(D.group, D.h, exps)
@@ -93,9 +93,8 @@ def test_multidimensional_perfect_array():
     R = chain_ring("truncated", 2, 1, 2)
     D = construct_partition_bh(R, 1, list(zero_sum(2, 2).exps), 2)
     A = to_array(D)
-    assert A.dims == (2, 2, 2, 2) and len(A.exponents) == 16
+    assert A.dims == (2, 2, 2, 2) and A.E.shape == (2, 2, 2, 2)
     assert verify_perfect(A)
-    assert A.tensor().shape == (2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("dims, h, stride", [

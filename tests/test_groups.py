@@ -21,7 +21,6 @@ from butson.groups import (
     characters,
     coset_reps,
     cyclic_subgroup,
-    element_order,
     fourier_equal,
     gr_add,
     gr_conj_inv,
@@ -41,7 +40,7 @@ from conftest import quaternion_table
 def order_histogram(G):
     hist = {}
     for g in G.elements():
-        o = element_order(G, g)
+        o = len(cyclic_subgroup(G, g))
         hist[o] = hist.get(o, 0) + 1
     return hist
 
