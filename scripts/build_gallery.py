@@ -21,7 +21,8 @@ from butson.sums import zero_sum
 from butson.verify import materialize, verify_bh, verify_by_characters, verify_group_ring
 
 
-def report(name, group, D):
+def report(name, D):
+    group = D.group
     t0 = time.perf_counter()
     ok_gr = verify_group_ring(D)
     rep = verify_bh(materialize(group, D))
@@ -34,12 +35,10 @@ def report(name, group, D):
 
 def main() -> None:
     z4 = make_abelian([4])
-    report("circulant BH(Z4, 2)", z4,
-           construct_group_bh(z4, find_normal_cyclic_generator(z4, 2), 2))
+    report("circulant BH(Z4, 2)", construct_group_bh(z4, find_normal_cyclic_generator(z4, 2), 2))
 
     d4 = make_semidirect(4, 2, 3)
-    report("BH(D4, 4)", d4,
-           construct_group_bh(d4, find_normal_cyclic_generator(d4, 4), 4))
+    report("BH(D4, 4)", construct_group_bh(d4, find_normal_cyclic_generator(d4, 4), 4))
 
     for family, p, d, n, t, h in [("galois", 2, 1, 2, 1, 2),
                                   ("galois", 3, 1, 2, 1, 3),
@@ -47,7 +46,7 @@ def main() -> None:
         ring = chain_ring(family, p, d, n)
         etas = zero_sum(p**t, h)
         D = construct_partition_bh(ring, t, etas.exps, h)
-        report(f"partition {ring.describe()} t={t} h={h}", D.group, D)
+        report(f"partition {ring.describe()} t={t} h={h}", D)
 
     for family, p, d, n, h in [("galois", 2, 1, 2, 6),
                                ("galois", 3, 1, 2, 6),
@@ -55,7 +54,7 @@ def main() -> None:
         ring = chain_ring(family, p, d, n)
         scheme = solve_coefficient_scheme(ring, h)
         D = construct_line_bh(ring, scheme)
-        report(f"lines {ring.describe()} h={h}", D.group, D)
+        report(f"lines {ring.describe()} h={h}", D)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Perfect h-phase arrays and their exact cyclic autocorrelation.
 
 An abelian-group BH element with factors (n_1, ..., n_k) is stored directly
-as a k-dimensional exponent tensor; the array is perfect exactly when the
-group-ring element verifies, and both directions are testable here.
+as a k-dimensional exponent tensor: `PerfectArray.E` is the `Unimodular`'s
+vector `e`, read-only int64 mod h, reshaped to (n_1, ..., n_k).  The array
+is perfect exactly when the group-ring element verifies, and both
+directions are testable here.
 `verify_perfect` gathers a batch of shifted copies at a time and zero-tests
 their `groups.difference_histograms` against the array with
 `cyclotomic.zero_rows`; `autocorrelation` computes one shift and is the oracle.
@@ -33,8 +35,8 @@ class PerfectArray:
         object.__setattr__(self, "E", E)
 
     def with_entry(self, flat_index: int, e: int) -> "PerfectArray":
-        E = self.E.copy()
-        E.flat[flat_index] = e % self.h
+        E = self.E.ravel().copy()
+        E[flat_index] = e % self.h
         return PerfectArray(self.dims, self.h, E)
 
 
@@ -63,7 +65,7 @@ def verify_perfect(A: PerfectArray) -> bool:
     h = A.h
     flat = A.E.reshape(-1)
     size = len(flat)
-    coords = np.indices(A.dims).reshape(len(A.dims), size)
+    coords = np.array(np.unravel_index(np.arange(size), A.dims))  # (axes, size)
     step = max(1, CHUNK_CELLS // max(size, 1))
     # a shift is a position too: its row-major index runs over 1..size-1
     for s0 in range(1, size, step):

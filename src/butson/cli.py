@@ -190,7 +190,7 @@ def _cmd_ring_info(args) -> int:
         "ring": R.describe(),
         "order": R.size,
         "units": R.size - R.p ** (R.d * (R.n - 1)),
-        "ideal_sizes": [len(R.ideal_elements(t)) for t in range(R.n + 1)],
+        "ideal_sizes": [R.p ** (R.d * (R.n - t)) for t in range(R.n + 1)],  # |I^t|
         "additive_type": list(R.additive_factors),
     }
     if args.format == "json":

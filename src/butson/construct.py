@@ -7,7 +7,8 @@
 3. A cover of R x R by the line subgroups {(x, xr)} and {(xs, x)}, weighted
    by a coefficient scheme solved over the coset chain of R.
 
-Every constructor verifies its own output exactly before returning it.
+Every constructor returns a `groups.Unimodular`, one exponent per element of
+the group, and verifies it exactly before returning it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Unimodular,
+    _check_fits,
     cyclic_subgroup,
     coset_reps,
     is_normal,
@@ -145,6 +147,7 @@ def construct_group_bh(
     h0 = min_h(n)
     if h < 1 or h % h0 != 0:
         raise BadH(f"h={h} is not a positive multiple of the minimal order {h0} for n={n}")
+    _check_fits(h, f"the reduction matrix for h={h}")
     k = block_count(n, h0)
     sub = cyclic_subgroup(G, subgroup_generator)
     if len(sub) != n // k:

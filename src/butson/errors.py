@@ -94,4 +94,4 @@ class SelfCheckFailed(ButsonError):
 
 
 class TooLarge(ButsonError):
-    """A Cayley table would not fit in the machine's physical memory."""
+    """An array the input asks for would not fit in the machine's physical memory."""

@@ -12,8 +12,10 @@ Array file::
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
 Table paths are resolved relative to the matrix file's directory.  Header
-keys may not repeat.  Both bodies must be ASCII integer tokens and are parsed
-by numpy, and both writers gather the strings of 0..h-1 over an int array.
+keys may not repeat, and an h whose h x h reduction matrix would not fit in
+physical memory is refused (`TooLarge`) before any array is built.  Both
+bodies must be ASCII integer tokens and are parsed by numpy, and both
+writers gather the strings of 0..h-1 over an int array.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .arrays import PerfectArray
 from .errors import ButsonError, NotAGroup
 from .groups import (
     FiniteGroup,
+    _check_fits,
     make_abelian,
     make_cyclic,
     make_from_table,
@@ -61,6 +64,7 @@ def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
         h = int(fields.pop("h"))
     if h < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")
+    _check_fits(h, f"{path}: the reduction matrix for h={h}")
     return h, fields, lines[1:]
 
 
@@ -144,4 +148,5 @@ def read_array(path: str | Path) -> PerfectArray:
         raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
-    return PerfectArray(dims, h, flat)
+    with _reading(path):  # numpy refuses arrays of more than 64 axes
+        return PerfectArray(dims, h, flat)

@@ -9,11 +9,19 @@ through it as a whole.  `mul` and `inv` return Python ints.  Abelian groups buil
 invariant-factor form keep their factor list, which is what the character
 machinery consumes.
 
+A group-ring element with one h-th root of unity per element, which is what
+every construction builds, is a `Unimodular`: one read-only (order,) int64
+exponent vector `e` mod h, passed from constructor to array file with no
+conversion.  `GroupRingElt`, a tuple of `CycInt` coefficients, serves the
+oracles (`gr_mul`, `apply_char`); `as_unimodular` is the one conversion
+between the two, and `Unimodular.coeffs` is the oracles' view of `e`.
+
 Only `make_from_table` checks the group axioms: a table from outside is the
 one input that can fail them.  `make_abelian` and `make_semidirect` reject
 bad parameters, and orders whose table would not fit in physical memory
-(`TooLarge`), and then build groups by construction, so they skip the
-O(n^3) check.
+(`TooLarge`, from `_check_fits`, which also bounds a root order h by its
+h x h reduction matrix), and then build groups by construction, so they
+skip the O(n^3) check.
 """
 
 from __future__ import annotations
@@ -90,11 +98,11 @@ def _physical_memory() -> int | None:
     return pages * size if pages > 0 and size > 0 else None  # -1: indeterminate
 
 
-def _check_fits(order: int, what: str) -> None:
-    """Refuse a group whose (order, order) np.intp table exceeds physical memory."""
+def _check_fits(n: int, what: str) -> None:
+    """Refuse `what`, an (n, n) array of 8-byte entries, if it exceeds physical memory."""
     phys = _physical_memory()
-    if phys is not None and order * order * np.dtype(np.intp).itemsize > phys:
-        raise TooLarge(f"{what} has order {order}: its Cayley table would not fit in physical memory")
+    if phys is not None and n * n * 8 > phys:
+        raise TooLarge(f"{what} would not fit in physical memory")
 
 
 def _finish(table: np.ndarray, descriptor: str, factors=None) -> FiniteGroup:
@@ -118,7 +126,8 @@ def make_abelian(factors) -> FiniteGroup:
     desc = "abelian " + ",".join(str(f) for f in factors)
     if len(factors) == 1:
         desc = f"cyclic {factors[0]}"
-    _check_fits(math.prod(factors), desc)
+    order = math.prod(factors)
+    _check_fits(order, f"the Cayley table of {desc} (order {order})")
     # Kronecker steps: element a*f + x of (G so far) x Z_f is the pair (a, x)
     table = np.zeros((1, 1), dtype=np.intp)
     for f in factors:
@@ -156,7 +165,7 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
         raise InvalidAction("m and k must be positive")
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
-    _check_fits(m * k, f"semidirect {m},{k},{t}")
+    _check_fits(m * k, f"the Cayley table of semidirect {m},{k},{t} (order {m * k})")
     tp = np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
     i, j = np.divmod(np.arange(m * k), k)  # element i*k + j is (i, j)
     table = (i[:, None] + tp[j][:, None] * i) % m * k + (j[:, None] + j) % k

@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 
 from .cyclotomic import CycInt, is_zero
 from .errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
+from .groups import _check_fits
 
 _SEARCH_CAP = 10**7
 _SEARCH_MAX_LEN = 6
@@ -98,6 +99,7 @@ def zero_sum(L: int, h: int) -> SumWitness:
     """L order-h roots summing to zero, built from full prime cycles."""
     if L < 1 or h < 1:
         raise InvalidParams(f"need L >= 1 and h >= 1, got L={L}, h={h}")
+    _check_fits(h, f"the reduction matrix for h={h}")
     primes = prime_divisors(h)
     cert = semigroup_member(L, primes)
     if cert is None:
@@ -113,6 +115,7 @@ def unit_sum(L: int, h: int, target: int) -> SumWitness:
     """L order-h roots summing to zeta_h^target."""
     if L < 1 or h < 1:
         raise InvalidParams(f"need L >= 1 and h >= 1, got L={L}, h={h}")
+    _check_fits(h, f"the reduction matrix for h={h}")
     target %= h
     if L == 1:
         return SumWitness(h, (target,), target)

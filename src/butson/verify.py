@@ -1,10 +1,13 @@
 """Materialization and exact verification of Butson Hadamard matrices.
 
 `BhMatrix` holds one read-only (n, n) int64 array `E` mod h, which
-`materialize`, `fileio` and the verifiers share without a copy.  Every exact
-check gathers its own rows, counts their exponent differences with
-`groups.difference_histograms` in batches of bounded size, and zero-tests the
-(N, h) counts exactly with `cyclotomic.zero_rows`.
+`materialize`, `fileio` and the verifiers share without a copy.
+`materialize` and `verify_group_ring` read the exponent vector `e` of a
+`groups.Unimodular` directly; a `GroupRingElt` enters through
+`as_unimodular`.  Every exact check gathers its own rows, counts their
+exponent differences with `groups.difference_histograms` in batches of
+bounded size, and zero-tests the (N, h) counts exactly with
+`cyclotomic.zero_rows`.
 
 `correlation_defects` tests D D^(-1) = |G|.  It serves `verify_group_ring`
 and `verify_bh` on a matrix found G-invariant by one gather: there

@@ -111,3 +111,10 @@ def test_batched_verify_perfect_matches_autocorrelation_oracle(dims, h, stride):
         assert verify_perfect(A) == expected, exps
         perfect += expected
     assert perfect > 0 or dims in ((2, 4), (4, 2))
+
+
+def test_verify_perfect_takes_as_many_axes_as_numpy():
+    # 64 axes, numpy's limit: trailing axes of length 1 change nothing
+    A = PerfectArray((4,) + (1,) * 63, 2, [0, 0, 0, 1])
+    assert verify_perfect(A)
+    assert not verify_perfect(A.with_entry(0, 1))

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from butson import construct, verify
+from butson import construct, groups, verify
 from butson.cli import main
+from butson.groups import GroupRingElt
+from butson.rings import ChainRing, chain_ring
 
 from conftest import quaternion_table
 
@@ -215,6 +217,79 @@ def test_ring_info(capsys):
     assert info["order"] == 8 and info["units"] == 4
     assert info["ideal_sizes"] == [8, 4, 2, 1]
     assert info["additive_type"] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("family, p, d, n", [
+    ("galois", 2, 1, 12), ("truncated", 2, 1, 12), ("galois", 3, 2, 2),
+    ("truncated", 3, 1, 5), ("galois", 5, 1, 3), ("truncated", 5, 2, 2),
+])
+def test_ring_info_ideal_sizes_need_no_ideal_scan(family, p, d, n, monkeypatch, capsys):
+    R = chain_ring(family, p, d, n)
+    sizes = [len(R.ideal_elements(t)) for t in range(n + 1)]  # the scan the formula replaces
+    flags = ["--family", family, "--p", str(p), "--d", str(d), "--n", str(n)]
+
+    def unreachable(self, t):
+        raise AssertionError("ring-info scanned an ideal")
+
+    monkeypatch.setattr(ChainRing, "ideal_elements", unreachable)
+    assert run("ring-info", *flags, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "ring": R.describe(),
+        "order": R.size,
+        "units": sizes[0] - sizes[1],
+        "ideal_sizes": sizes,
+        "additive_type": list(R.additive_factors),
+    }
+    assert run("ring-info", *flags) == 0
+    assert f"ideal sizes:   {sizes}\n" in capsys.readouterr().out
+
+
+# each command meets an h whose (h, phi(h)) reduction matrix exceeds 1 MB
+_BIG_H = {
+    "construct-group": (None, ["construct", "group", "--order", "4", "--h", "1000"]),
+    "construct-partition": (None, ["construct", "local-partition", "--family", "galois", "--p", "2",
+                                   "--d", "1", "--n", "2", "--t", "1", "--h", "1000"]),
+    "construct-lines": (None, ["construct", "local-lines", "--family", "galois", "--p", "2",
+                               "--d", "1", "--n", "2", "--h", "1002"]),
+    "solve-zero-sum": (None, ["solve-sum", "--length", "2", "--order", "1000"]),
+    "solve-unit-sum": (None, ["solve-sum", "--length", "1", "--order", "1000", "--target", "1"]),
+    "verify": ("bh h=1000 order=1\ncyclic 1\n0\n", ["verify", "{file}"]),
+    "verify-array": ("array h=1000 dims=2\n0 1\n", ["verify-array", "{file}"]),
+    "verify-2^70": (f"bh h={2**70} order=1\ncyclic 1\n0\n", ["verify", "{file}"]),
+    "verify-array-2^70": (f"array h={2**70} dims=2\n0 1\n", ["verify-array", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BIG_H))
+def test_too_large_h_exits_2(case, tmp_path, monkeypatch, capsys):
+    text, argv = _BIG_H[case]
+    monkeypatch.setattr(groups, "_physical_memory", lambda: 10**6)
+    if text is not None:
+        (tmp_path / "input.txt").write_text(text)
+    assert run(*(a.format(file=tmp_path / "input.txt") for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: TooLarge:") and "reduction matrix" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_never_converts_through_group_ring_elements(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(GroupRingElt, "from_exponents",
+                        classmethod(lambda cls, *args: calls.append("from_exponents")))
+    monkeypatch.setattr(GroupRingElt, "monomial_exponents",
+                        lambda self: calls.append("monomial_exponents"))
+    monkeypatch.chdir(tmp_path)
+    ring = ["--family", "galois", "--p", "3", "--d", "1", "--n", "2"]
+    for name, argv in [
+        ("group", ["construct", "group", "--order", "16", "--h", "4"]),
+        ("partition", ["construct", "local-partition", *ring, "--t", "1", "--h", "3"]),
+        ("lines", ["construct", "local-lines", *ring, "--h", "6"]),
+    ]:
+        assert run(*argv, "--out", f"{name}.bh") == 0
+        assert run("verify", f"{name}.bh") == 0
+        assert run("export-array", f"{name}.bh", "--out", f"{name}.arr") == 0
+        assert run("verify-array", f"{name}.arr") == 0
+    assert calls == []
 
 
 def test_export_array_exit_codes(tmp_path, capsys):

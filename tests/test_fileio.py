@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from butson import fileio
@@ -149,6 +149,36 @@ def test_array_body_text_raises_only_butson_errors(tmp_path, body):
         tokens = body.split()
         assert all(re.fullmatch(r"[-+]?[0-9]+", x) for x in tokens), body
         assert A.E.ravel().tolist() == [int(x) % 3 for x in tokens]
+
+
+_HEADER_NUMS = (st.integers(-3, 12) | st.integers(2**40, 2**300) | st.integers(-2**300, -2**40)).map(str)
+_HEADER_TOKENS = (
+    st.builds("{}={}".format, st.sampled_from(["h", "order", "dims", "", "x"]),
+              _HEADER_NUMS | st.lists(_HEADER_NUMS, min_size=1, max_size=3).map(",".join) | st.text(max_size=5))
+    | st.sampled_from(["", "=", "==", "h=", "h==3", "dims=,", "order"])
+    | st.text(max_size=8)
+)
+# a tag, then header tokens: repeated keys, bare and empty tokens and huge values
+_HEADERS = st.builds(
+    lambda tag, tokens: " ".join([tag, *tokens]),
+    st.sampled_from(["bh", "array"]) | st.text(max_size=5),
+    st.lists(_HEADER_TOKENS, max_size=5),
+)
+
+
+@given(_HEADERS)
+@example(f"bh h={2**70} order=2")
+@example(f"array h={2**70} dims=2")
+@example("array h=2 dims=2" + ",1" * 70)  # more axes than numpy allows
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_header_text_raises_only_butson_errors(tmp_path, header):
+    path = tmp_path / "fuzz.txt"
+    for body, reader in (("cyclic 2\n0 0\n0 1\n", fileio.read_matrix), ("0 1\n", fileio.read_array)):
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        try:
+            reader(path)
+        except ButsonError:
+            pass
 
 
 # small values build real groups (order <= 12^3); the huge ones must be refused
