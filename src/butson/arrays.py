@@ -4,7 +4,8 @@ An abelian-group BH element with factors (n_1, ..., n_k) is stored directly
 as a k-dimensional exponent tensor: `PerfectArray.E` is the `Unimodular`'s
 vector `e`, read-only int64 mod h, reshaped to (n_1, ..., n_k).  The array
 is perfect exactly when the group-ring element verifies, and both
-directions are testable here.
+directions are testable here.  An array has at most `MAX_AXES` axes, numpy's
+limit, and more raise `InvalidParams`.
 `verify_perfect` gathers a batch of shifted copies at a time and zero-tests
 their `groups.difference_histograms` against the array with
 `cyclotomic.zero_rows`; `autocorrelation` computes one shift and is the oracle.
@@ -17,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt, zero_rows
-from .errors import NonUnimodular, NotAbelianFactored
+from .errors import InvalidParams, NonUnimodular, NotAbelianFactored
 from .groups import CHUNK_CELLS, GroupRingElt, Unimodular, as_unimodular, difference_histograms
+
+# numpy 2 holds at most 64 axes; an exported array has one per invariant factor
+MAX_AXES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +34,8 @@ class PerfectArray:
     E: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(self.dims) > MAX_AXES:
+            raise InvalidParams(f"an array has at most {MAX_AXES} axes (numpy's limit), got {len(self.dims)}")
         E = (np.asarray(self.E, dtype=np.int64) % self.h).reshape(self.dims)
         E.flags.writeable = False
         object.__setattr__(self, "E", E)

@@ -50,7 +50,7 @@ class UnsupportedRing(ButsonError):
 
 
 class InvalidParams(ButsonError):
-    """Parameters of a builder, a sum or the building blocks are out of range."""
+    """Parameters of a builder, a sum, the building blocks or an array are out of range."""
 
 
 class BadH(ButsonError):

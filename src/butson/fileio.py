@@ -11,11 +11,17 @@ Array file::
     array h=<H> dims=n1,n2,...
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
+Table file::
+
+    order <N>
+    <N lines of N space-separated elements, 0 the identity>
+
 Table paths are resolved relative to the matrix file's directory.  Header
 keys may not repeat, and an h whose h x h reduction matrix would not fit in
-physical memory is refused (`TooLarge`) before any array is built.  Both
-bodies must be ASCII integer tokens and are parsed by numpy, and both
-writers gather the strings of 0..h-1 over an int array.
+physical memory is refused (`TooLarge`) before any array is built.  All
+three bodies must be ASCII integer tokens and are parsed by numpy (a table's
+row count is checked first), and both writers gather the strings of 0..h-1
+over an int array.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .groups import (
     make_cyclic,
     make_from_table,
     make_semidirect,
-    parse_cayley_table,
 )
 from .verify import BhMatrix
 
@@ -78,10 +83,8 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         path = Path(arg)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        with _reading(path):
-            text = path.read_text()
         try:
-            return make_from_table(parse_cayley_table(text), descriptor=f"table {arg}")
+            return make_from_table(_read_cayley_table(path), descriptor=f"table {arg}")
         except NotAGroup as exc:
             raise NotAGroup(f"{path}: {exc}") from None
     if kind not in ("cyclic", "abelian", "semidirect"):
@@ -110,12 +113,42 @@ def format_matrix(M: BhMatrix) -> str:
 
 
 def _integers(lines: list[str]) -> np.ndarray | None:
-    """Lines of ASCII integer tokens as int64 rows, else None; ragged rows raise ValueError."""
+    """Lines of ASCII integer tokens as int64 rows, else None; ragged rows raise ValueError.
+
+    No lines give a (0, 0) array.
+    """
     # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
     # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text
-    if lines and all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in lines):
+    if not lines:
+        return np.zeros((0, 0), dtype=np.int64)
+    if all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in lines):
         return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
     return None
+
+
+def _read_cayley_table(path: Path) -> np.ndarray:
+    """The (n, n) body of a table file: a line 'order n', then n rows of n integers."""
+    with _reading(path):
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    head = lines[0].split() if lines else [""]
+    if not head[0].startswith("order"):
+        raise NotAGroup("cayley table file must start with 'order n'")
+    try:
+        n = int(head[1])
+    except (IndexError, ValueError):
+        raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
+    body = lines[1:]
+    if len(body) != n:
+        raise NotAGroup(f"expected {n} rows of {n} entries")
+    try:
+        rows = _integers(body)
+    except ValueError:  # rows of unequal length, or a token that is no int64
+        rows = None
+    if rows is None or rows.shape != (n, n):
+        if {len(ln.split()) for ln in body} - {n}:
+            raise NotAGroup(f"expected {n} rows of {n} entries")
+        raise NotAGroup("cayley table needs 'order n' and rows of integers")
+    return rows
 
 
 def read_matrix(path: str | Path) -> BhMatrix:
@@ -148,5 +181,4 @@ def read_array(path: str | Path) -> PerfectArray:
         raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
-    with _reading(path):  # numpy refuses arrays of more than 64 axes
-        return PerfectArray(dims, h, flat)
+    return PerfectArray(dims, h, flat)

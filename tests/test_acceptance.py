@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria with pinned runtime bounds.
+"""Acceptance suite: ten end-to-end criteria and a table-group load, with pinned runtime bounds.
 
 Each test prints a single PASS line when its criterion holds; a failing
 criterion fails the test outright.  All checks are exact integer
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
 import pytest
 
 from butson.construct import (
@@ -240,3 +241,16 @@ def test_criterion_10_cross_oracle_consistency():
             mutations += 1
     print(f"\nPASS criterion 10: {len(gallery)} instances x 3 verifiers agree, "
           f"and on all {mutations} random mutations all verifiers reject")
+
+
+def test_relabelled_table_group_of_order_1024_loads_within_budget():
+    # Light's associativity test: one n^2 gather per generator, not per element
+    table = make_semidirect(256, 4, 255).table
+    rng = random.Random(1024)
+    perm = np.array([0] + rng.sample(range(1, 1024), 1023))
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    G, elapsed = timed(1.0, lambda: make_from_table(relabelled))
+    assert np.array_equal(G.table, relabelled)
+    print(f"\nPASS: relabelled semidirect 256,4,255 (order 1024) passes the group axioms "
+          f"[{elapsed * 1000:.0f} ms]")

@@ -10,7 +10,8 @@ import pytest
 
 from butson.arrays import PerfectArray, autocorrelation, to_array, verify_perfect
 from butson.cyclotomic import equals_integer, is_zero
-from butson.errors import NonUnimodular, NotAbelianFactored
+from butson.errors import InvalidParams, NonUnimodular, NotAbelianFactored
+from butson.fileio import read_array
 from butson.groups import GroupRingElt, make_abelian, make_semidirect
 from butson.cyclotomic import CycInt
 from butson.verify import verify_group_ring
@@ -118,3 +119,12 @@ def test_verify_perfect_takes_as_many_axes_as_numpy():
     A = PerfectArray((4,) + (1,) * 63, 2, [0, 0, 0, 1])
     assert verify_perfect(A)
     assert not verify_perfect(A.with_entry(0, 1))
+
+
+def test_arrays_beyond_numpy_axes_are_refused(tmp_path):
+    with pytest.raises(InvalidParams, match="at most 64 axes"):
+        PerfectArray((1,) * 65, 2, [0])
+    path = tmp_path / "a.arr"
+    path.write_text("array h=2 dims=" + ",".join(["1"] * 65) + "\n0\n")
+    with pytest.raises(InvalidParams, match="at most 64 axes"):
+        read_array(path)

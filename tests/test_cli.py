@@ -332,3 +332,20 @@ def test_oversized_groups_and_rings_exit_2_before_allocating(argv):
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(("error: TooLarge:", "error: UnsupportedRing:")), proc.stderr
+
+
+def test_export_array_beyond_numpy_axes_exits_2(tmp_path):
+    # Z_1^65 has 65 invariant factors, one more than numpy's 64 axes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "butson.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    group = "abelian:" + ",".join(["1"] * 65)
+    assert cli("construct", "group", "--order", "1", "--h", "1", "--group", group, "--out", "z.bh").returncode == 0
+    proc = cli("export-array", "z.bh", "--out", "z.arr")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: InvalidParams:") and "64 axes" in proc.stderr, proc.stderr
+    assert not (tmp_path / "z.arr").exists()

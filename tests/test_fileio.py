@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from butson import fileio
 from butson.arrays import PerfectArray, verify_perfect
-from butson.errors import ButsonError
+from butson.errors import ButsonError, NotAGroup
 from butson.groups import GroupRingElt, make_abelian, make_cyclic
 from butson.verify import BhMatrix, materialize, verify_bh
 
@@ -199,7 +199,7 @@ _TABLES = st.integers(0, 3).flatmap(
 @given(st.text(max_size=30) | _DESCRIPTORS, st.text(max_size=60) | _TABLES)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
-    # parse_group_spec("table:t") runs the table text through parse_cayley_table
+    # parse_group_spec("table:t") runs the table text through the table-file reader
     (tmp_path / "t").write_text(table, encoding="utf-8")
     for text in (spec, "table:t"):
         try:
@@ -207,6 +207,35 @@ def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
         except ButsonError:
             continue
         assert G.table.shape == (G.order, G.order)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "must start with 'order n'"),
+    ("size 2\n0 1\n1 0", "must start with 'order n'"),
+    ("order\n0", "needs 'order n' and rows of integers"),
+    ("order two\n0 1\n1 0", "needs 'order n' and rows of integers"),
+    ("order 2\n0 1", "expected 2 rows of 2 entries"),
+    ("order 2\n0 1\n1", "expected 2 rows of 2 entries"),
+    ("order 2\n0 1 0\n1 0 1", "expected 2 rows of 2 entries"),
+    ("order 2\n0 1\n1 x", "needs 'order n' and rows of integers"),
+    # the body reader takes only ASCII integers that fit in int64
+    ("order 2\n0 1\n1 \u0660", "needs 'order n' and rows of integers"),
+    ("order 2\n0 1\n1_0 0", "needs 'order n' and rows of integers"),
+    ("order 2\n0 1\n1 99999999999999999999", "needs 'order n' and rows of integers"),
+    ("order 0", "table entries out of range"),
+    ("order 2\n0 1\n1 2", "table entries out of range"),
+    ("order 2\n0 1\n0 1", "element 0 is not a two-sided identity"),
+])
+def test_table_file_errors_name_the_file(tmp_path, text, message):
+    (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(NotAGroup, match=re.escape(f"{tmp_path / 't.txt'}: ") + ".*" + re.escape(message)):
+        fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
+
+
+def test_table_file_body_may_carry_signs_tabs_and_blank_lines(tmp_path):
+    (tmp_path / "t.txt").write_text("  order 3\n\n+0 1\t2\n1 2 0\n\n2 0 +1\n", encoding="utf-8")
+    G = fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
+    assert G.same_as(make_cyclic(3)) and G.descriptor == "table t.txt"
 
 
 def test_non_ascii_body_exits_2_without_crashing(tmp_path):

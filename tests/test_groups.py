@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from butson import groups
 from butson.construct import find_normal_cyclic_generator
 from butson.cyclotomic import CycInt, equals_integer, is_zero
 from butson.errors import InvalidAction, InvalidParams, NotAbelian, NotAGroup, TooLarge, WrongSubgroupOrder
@@ -31,8 +33,8 @@ from butson.groups import (
     make_cyclic,
     make_from_table,
     make_semidirect,
-    parse_cayley_table,
 )
+from butson.fileio import parse_group_spec
 
 from conftest import quaternion_table
 
@@ -169,6 +171,194 @@ def test_builder_tables_pass_the_axioms(build):
     _check_axioms(build().table)
 
 
+def _check_axioms_by_n_gathers(table):
+    """The O(n^3) check, one n^2 gather per element: the oracle for _check_axioms."""
+    table = np.asarray(table, dtype=np.intp)
+    n = table.shape[0]
+    if table.shape != (n, n) or not table.size or table.min() < 0 or table.max() >= n:
+        raise NotAGroup("table entries out of range")
+    ident = np.arange(n)
+    if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
+        raise NotAGroup("element 0 is not a two-sided identity")
+    if (np.sort(table, axis=1) != ident).any() or (np.sort(table, axis=0).T != ident).any():
+        raise NotAGroup("table rows/columns are not permutations")
+    for a in range(n):
+        # (a*b)*c == a*(b*c) for all b, c, vectorized per a
+        if not np.array_equal(table[table[a], :], table[a][table]):
+            raise NotAGroup("multiplication is not associative")
+    right = np.nonzero(table == 0)[1]  # a * right[a] = 0
+    bad = np.nonzero(table[right, ident] != 0)[0]
+    if len(bad):
+        raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
+
+
+def _verdict(check, table):
+    """None if the check accepts the table, else its NotAGroup message."""
+    try:
+        check(table)
+    except NotAGroup as exc:
+        return str(exc)
+    return None
+
+
+def _dicyclic_table(m):
+    """Dic_m = <a, b | a^2m, b^2 = a^m, b a b^-1 = a^-1>; a^i b^j has index 2i + j (Q8, Q16, ...)."""
+    i, j = np.divmod(np.arange(4 * m), 2)
+    both = j[:, None] & j  # b * b = a^m
+    e = (i[:, None] + np.where(j[:, None] == 1, -i, i) + m * both) % (2 * m)
+    return 2 * e + (j[:, None] ^ j)
+
+
+def _principal_loop(L):
+    """The isotope of a Latin square whose row 0 and column 0 are 0, 1, ..., n-1."""
+    L = np.argsort(L[0])[L]  # rename symbols: row 0 reads 0..n-1
+    out = np.empty_like(L)
+    out[L[:, 0]] = L  # reorder rows: column 0 reads 0..n-1
+    return out
+
+
+def _isotope(rng, table):
+    """A seeded isotope of a table: rows, columns and symbols permuted, then made a loop."""
+    n = len(table)
+    rows, cols, syms = (np.array(rng.sample(range(n), n)) for _ in range(3))
+    return _principal_loop(syms[np.asarray(table)[np.ix_(rows, cols)]])
+
+
+def _relabelling(rng, table):
+    """The table under a seeded bijection of its elements that fixes 0."""
+    table = np.asarray(table)
+    n = len(table)
+    perm = np.array([0] + rng.sample(range(1, n), n - 1))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def _random_loop(rng, n):
+    """A seeded Latin square with row 0 and column 0 equal to 0..n-1, by backtracking."""
+    L = np.zeros((n, n), dtype=np.intp)
+    L[0] = L[:, 0] = np.arange(n)
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        for v in rng.sample(range(n), n):
+            if v not in L[r, :c] and v not in L[:r, c]:
+                L[r, c] = v
+                if fill(k + 1):
+                    return True
+        return False
+
+    fill(0)
+    return L
+
+
+def _intercalate_switches(table):
+    """Copies with one 2x2 Latin subsquare away from row and column 0 switched."""
+    T = np.asarray(table)
+    n = len(T)
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for c in range(1, n):
+                d = int(np.flatnonzero(T[b] == T[a, c])[0])  # T[b, d] == T[a, c]
+                if d > c and T[a, d] == T[b, c]:
+                    out = T.copy()
+                    out[[a, a, b, b], [c, d, c, d]] = T[[a, a, b, b], [d, c, d, c]]
+                    yield out
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _z2_times_loop5():
+    """Z_2 x (the order-5 loop), element 2q + a for (a, q): a loop, not a group."""
+    q, a = np.divmod(np.arange(10), 2)
+    return 2 * np.array(_LOOP5)[q[:, None], q] + (a[:, None] ^ a)
+
+
+def _swapped(n, a, b):
+    idx = np.arange(n)
+    idx[[a, b]] = b, a
+    return idx
+
+
+def _seeded_tables():
+    rng = random.Random(1961)
+    bases = [make_semidirect(4, 2, 3).table, _dicyclic_table(2), make_cyclic(8).table, np.array(_LOOP5),
+             _z2_times_loop5()]
+    loops = bases + [_isotope(rng, t) for t in bases for _ in range(8)]
+    loops += [_random_loop(rng, n) for n in range(1, 9) for _ in range(12)]
+    switched = [s for t in bases[:3] for s in list(_intercalate_switches(_relabelling(rng, t)))[:6]]
+    mutants = []
+    for t in loops:
+        n = len(t)
+        if n > 2:
+            mutants.append(t[_swapped(n, *rng.sample(range(n), 2))])  # two rows swapped
+            mutants.append(t[:, _swapped(n, *rng.sample(range(n), 2))])  # two columns swapped
+            r, mutant = rng.randrange(1, n), t.copy()
+            mutant[r] = t[r, _swapped(n, *rng.sample(range(1, n), 2))]  # two entries of row r swapped
+            mutants.append(mutant)
+    return loops + switched + mutants
+
+
+def test_light_check_matches_the_n_gather_oracle():
+    verdicts = set()
+    for table in _seeded_tables():
+        want = _verdict(_check_axioms_by_n_gathers, table)
+        assert _verdict(_check_axioms, table) == want, table.tolist()
+        verdicts.add(want)
+    assert verdicts == {None, "multiplication is not associative", "element 0 is not a two-sided identity",
+                        "table rows/columns are not permutations"}
+
+
+def test_light_check_gathers_at_most_bit_length_times(monkeypatch):
+    gathers = []
+    real = np.array_equal
+
+    def spy(a, b, *args, **kwargs):
+        gathers.extend([a.shape] if a.ndim == 2 else [])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(groups.np, "array_equal", spy)
+    for table in _seeded_tables():
+        gathers.clear()
+        _verdict(_check_axioms, table)
+        assert len(gathers) <= len(table).bit_length()
+
+
+def test_non_associative_loop_that_fails_only_at_a_later_generator():
+    # generator 1 = (1, 0) associates with everything, and its closure {0, 1}
+    # leaves the failing check to generator 2
+    loop = _z2_times_loop5()
+    col = loop[:, 1]
+    assert np.array_equal(col[loop], loop[:, col]) and set(col[[0, 1]]) == {0, 1}
+    assert _verdict(_check_axioms_by_n_gathers, loop) == "multiplication is not associative"
+    with pytest.raises(NotAGroup, match="multiplication is not associative"):
+        make_from_table(loop)
+
+
+@pytest.mark.parametrize("table", [
+    make_semidirect(4, 2, 3).table,
+    _dicyclic_table(2),
+    _dicyclic_table(4),
+    make_semidirect(16, 4, 15).table,
+    make_semidirect(64, 4, 31).table,
+], ids=["D4", "Q8", "Q16", "semidirect-16-4-15", "semidirect-64-4-31"])
+def test_relabelled_groups_are_accepted(table):
+    rng = random.Random(len(table))
+    for _ in range(4):
+        relabelled = _relabelling(rng, table)
+        assert make_from_table(relabelled).table.tolist() == relabelled.tolist()
+
+
+def test_dicyclic_tables_are_the_quaternion_groups(q8_table):
+    Q8, Q16 = make_from_table(_dicyclic_table(2)), make_from_table(_dicyclic_table(4))
+    assert order_histogram(Q8) == order_histogram(make_from_table(q8_table)) == {1: 1, 2: 1, 4: 6}
+    assert order_histogram(Q16) == {1: 1, 2: 1, 4: 10, 8: 4}
+
+
 def test_make_abelian_rejects_bad_factors():
     for factors in ([], [2, 0], [3, -1]):
         with pytest.raises(InvalidParams):
@@ -202,9 +392,10 @@ def test_quaternion_group(q8_table):
     assert order_histogram(G) == {1: 1, 2: 1, 4: 6}
 
 
-def test_parse_cayley_table_round_trip(q8_table):
-    text = "order 8\n" + "\n".join(" ".join(map(str, row)) for row in q8_table)
-    assert parse_cayley_table(text) == q8_table
+def test_table_file_round_trip(tmp_path, q8_table):
+    (tmp_path / "q8.txt").write_text("order 8\n" + "\n".join(" ".join(map(str, row)) for row in q8_table))
+    G = parse_group_spec("table:q8.txt", base_dir=tmp_path)
+    assert G.table.tolist() == q8_table and G.descriptor == "table q8.txt"
 
 
 def test_cyclic_subgroup_and_normality():
