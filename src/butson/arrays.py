@@ -13,9 +13,11 @@ their `groups.difference_histograms` against the array with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import CycInt, zero_rows
 from .errors import InvalidParams, NonUnimodular, NotAbelianFactored
@@ -71,15 +73,20 @@ def verify_perfect(A: PerfectArray) -> bool:
     h = A.h
     flat = A.E.reshape(-1)
     size = len(flat)
-    coords = np.array(np.unravel_index(np.arange(size), A.dims))  # (axes, size)
+    # wrap[s, x] is the row-major offset of coordinate (s + x) mod d along an
+    # axis: a (d, d) sliding window over 2d - 1 entries, so no table is stored
+    wraps = [
+        sliding_window_view(np.tile(np.arange(d) * math.prod(A.dims[ax + 1 :]), 2)[:-1], d)
+        for ax, d in enumerate(A.dims)
+    ]
     step = max(1, CHUNK_CELLS // max(size, 1))
     # a shift is a position too: its row-major index runs over 1..size-1
     for s0 in range(1, size, step):
-        shifts = coords[:, s0 : s0 + step]
-        idx = np.zeros((shifts.shape[1], size), dtype=np.intp)
-        for ax, d in enumerate(A.dims):
-            idx *= d
-            idx += (shifts[ax][:, None] + coords[ax]) % d
+        shifts = np.unravel_index(np.arange(s0, min(s0 + step, size)), A.dims)
+        # the index of x + shift for every x, one axis at a time as an outer sum
+        idx = wraps[0][shifts[0]]
+        for wrap, s in zip(wraps[1:], shifts[1:]):
+            idx = (idx[:, :, None] + wrap[s][:, None, :]).reshape(len(s), -1)
         # each row is the conjugate of the autocorrelation at its shift
         if not zero_rows(difference_histograms(flat[idx], flat[None], h)[:, 0]).all():
             return False

@@ -1,5 +1,12 @@
 """Command-line frontend: construct, verify, and export in batch runs.
 
+Each command is one short process, so start-up is most of its cost at
+small orders.  A handler imports the modules it runs when it runs, and
+`json` only where it prints JSON: `ring-info` loads `rings` but not
+`groups`, `verify` loads no construction, ring or array code, and
+`construct group` no ring or sum code.  Where Python writes no bytecode
+cache, every module a command imports is also compiled again on each call.
+
 numpy runs with one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
 """
 
@@ -8,20 +15,14 @@ from __future__ import annotations
 import os
 
 # No code path in the package calls BLAS, yet OpenBLAS starts one spinning
-# thread per core when numpy loads; this must run before the imports below.
+# thread per core when numpy loads; the handlers import numpy after this.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import arrays, construct, fileio
 from .errors import ButsonError, SelfCheckFailed
-from .groups import Unimodular
-from .rings import chain_ring
-from .sums import unit_sum, zero_sum
-from .verify import invariance_witness, materialize, verify_bh
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,6 +100,9 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit_matrix(args, D) -> int:
+    from . import fileio
+    from .verify import materialize
+
     # constructors check D D^(-1) = |G|: verify_bh's test of this matrix's column 0
     text = fileio.format_matrix(materialize(D.group, D))
     if args.out:
@@ -109,6 +113,8 @@ def _emit_matrix(args, D) -> int:
 
 
 def _cmd_construct_group(args) -> int:
+    from . import construct, fileio
+
     spec = args.group or f"cyclic:{args.order}"
     G = fileio.parse_group_spec(spec, base_dir=Path.cwd())
     if G.order != args.order:
@@ -120,6 +126,10 @@ def _cmd_construct_group(args) -> int:
 
 
 def _cmd_local_partition(args) -> int:
+    from . import construct
+    from .rings import chain_ring
+    from .sums import zero_sum
+
     R = chain_ring(args.family, args.p, args.d, args.n)
     etas = list(zero_sum(args.p**args.t, args.h).exps)
     D = construct.construct_partition_bh(R, args.t, etas, args.h, seed=args.seed)
@@ -127,6 +137,9 @@ def _cmd_local_partition(args) -> int:
 
 
 def _cmd_local_lines(args) -> int:
+    from . import construct
+    from .rings import chain_ring
+
     R = chain_ring(args.family, args.p, args.d, args.n)
     scheme = construct.solve_coefficient_scheme(R, args.h)
     D = construct.construct_line_bh(R, scheme)
@@ -134,6 +147,9 @@ def _cmd_local_lines(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import fileio
+    from .verify import verify_bh
+
     M = fileio.read_matrix(args.file)
     report = verify_bh(M, full=args.full)
     payload = {
@@ -144,6 +160,8 @@ def _cmd_verify(args) -> int:
         "pairs_checked": report.pairs_checked,
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         status = "ok" if report.ok else f"FAILED at {report.first_failure}"
@@ -152,6 +170,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_array(args) -> int:
+    from . import arrays, fileio
+    from .groups import Unimodular
+    from .verify import invariance_witness
+
     M = fileio.read_matrix(args.file)
     if invariance_witness(M) is not None:
         print("matrix is not group-invariant; no array exists", file=sys.stderr)
@@ -163,9 +185,13 @@ def _cmd_export_array(args) -> int:
 
 
 def _cmd_verify_array(args) -> int:
+    from . import arrays, fileio
+
     A = fileio.read_array(args.file)
     ok = arrays.verify_perfect(A)
     if args.format == "json":
+        import json
+
         print(json.dumps({"is_perfect": ok, "dims": list(A.dims), "h": A.h}))
     else:
         print(f"perfect={ok}")
@@ -173,11 +199,15 @@ def _cmd_verify_array(args) -> int:
 
 
 def _cmd_solve_sum(args) -> int:
+    from .sums import unit_sum, zero_sum
+
     if args.target is None:
         w = zero_sum(args.length, args.order)
     else:
         w = unit_sum(args.length, args.order, args.target)
     if args.format == "json":
+        import json
+
         print(json.dumps({"h": w.h, "exponents": list(w.exps), "target": w.target}))
     else:
         print(" ".join(str(e) for e in w.exps))
@@ -185,6 +215,8 @@ def _cmd_solve_sum(args) -> int:
 
 
 def _cmd_ring_info(args) -> int:
+    from .rings import chain_ring
+
     R = chain_ring(args.family, args.p, args.d, args.n)
     info = {
         "ring": R.describe(),
@@ -194,6 +226,8 @@ def _cmd_ring_info(args) -> int:
         "additive_type": list(R.additive_factors),
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(info))
     else:
         print(f"ring:          {info['ring']}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,11 +34,11 @@ from .errors import (
     SelfCheckFailed,
     UnsupportedRing,
     WrongSubgroupOrder,
+    _check_fits,
 )
 from .groups import (
     FiniteGroup,
     Unimodular,
-    _check_fits,
     cyclic_subgroup,
     coset_reps,
     is_normal,
@@ -45,9 +46,10 @@ from .groups import (
     make_cyclic,
     unimodular_products,
 )
-from .rings import ChainRing
-from .sums import SumWitness, unit_sum, zero_sum
 from .verify import verify_group_ring
+
+if TYPE_CHECKING:  # constructions 2 and 3 take a ring; construction 1 loads neither module
+    from .rings import ChainRing
 
 
 def _nu2(x: int) -> int:
@@ -244,6 +246,8 @@ def construct_partition_bh(
     R: ChainRing, t: int, etas: list[int], h: int, seed: int | None = None
 ) -> Unimodular:
     """BH element over (R x R, +) from a vanishing sum of p^t roots."""
+    from .sums import SumWitness
+
     if len(etas) != R.p**t:
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
     if not SumWitness(h, tuple(etas), None).check():
@@ -300,6 +304,8 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
     own value and gives its siblings a vanishing sum; the leaf levels eta_r
     and mu_s are free unit sums splitting their parent's value.
     """
+    from .sums import unit_sum, zero_sum
+
     if R.n < 2:
         raise UnsupportedRing("the line-family construction needs chain length >= 2")
     n, q = R.n, R.p**R.d

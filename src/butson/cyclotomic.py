@@ -194,13 +194,16 @@ def reduction_matrix(h: int) -> np.ndarray:
     low = [(i, c) for i, c in enumerate(phi[:-1]) if c]  # x^d = -sum c x^i
     row = [1] + [0] * (d - 1)
     rows = [row]
+    # every entry is either shifted from the row before or just updated, so
+    # the largest magnitude is the largest of the updated entries (or 1)
+    big = False
     for _ in range(1, h):
         top, row = row[-1], [0] + row[:-1]
         if top:
             for i, c in low:
                 row[i] -= top * c
+            big = big or max(abs(row[i]) for i, _ in low) >= _INT64_SAFE
         rows.append(row)
-    big = max(abs(c) for r in rows for c in r) >= _INT64_SAFE
     Rm = np.array(rows, dtype=object if big else np.int64)
     Rm.setflags(write=False)
     return Rm

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the memory bound behind `TooLarge`.
+
+`_check_fits` lives here, next to the error it raises, so that `rings` and
+`sums` can bound their arrays without importing `groups` and numpy.
+"""
+
+import os
 
 
 class ButsonError(Exception):
@@ -95,3 +101,19 @@ class SelfCheckFailed(ButsonError):
 
 class TooLarge(ButsonError):
     """An array the input asks for would not fit in the machine's physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, e.g. on Windows
+        return None
+    return pages * size if pages > 0 and size > 0 else None  # -1: indeterminate
+
+
+def _check_fits(n: int, what: str) -> None:
+    """Refuse `what`, an (n, n) array of 8-byte entries, if it exceeds physical memory."""
+    phys = _physical_memory()
+    if phys is not None and n * n * 8 > phys:
+        raise TooLarge(f"{what} would not fit in physical memory")

@@ -30,20 +30,22 @@ import math
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import PerfectArray
-from .errors import ButsonError, NotAGroup
+from .errors import ButsonError, NotAGroup, _check_fits
 from .groups import (
     FiniteGroup,
-    _check_fits,
     make_abelian,
     make_cyclic,
     make_from_table,
     make_semidirect,
 )
 from .verify import BhMatrix
+
+if TYPE_CHECKING:  # of the array code, only read_array needs `arrays` at run time
+    from .arrays import PerfectArray
 
 
 @contextmanager
@@ -172,6 +174,8 @@ def format_array(A: PerfectArray) -> str:
 
 
 def read_array(path: str | Path) -> PerfectArray:
+    from .arrays import PerfectArray
+
     path = Path(path)
     h, fields, lines = _read_file(path, "array", "an array")
     with _reading(path):

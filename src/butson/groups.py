@@ -22,15 +22,15 @@ test: the s with (x*y)*s = x*(y*s) for all x, y are closed under products,
 so checking greedily chosen generators, at most log2(n) of them and one n^2
 gather each, covers the group.  `make_abelian` and `make_semidirect` reject
 bad parameters, and orders whose table would not fit in physical memory
-(`TooLarge`, from `_check_fits`, which also bounds a root order h by its
-h x h reduction matrix), and then build groups by construction, so they
-skip the check.
+(`TooLarge`, from `errors._check_fits`, which also bounds a root order h
+by its h x h reduction matrix and lives in `errors` so that `rings` and
+`sums` need not import this module), and then build groups by
+construction, so they skip the check.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
     OrderMismatch,
-    TooLarge,
+    _check_fits,
 )
 
 
@@ -109,22 +109,6 @@ def _check_axioms(table: np.ndarray) -> None:
     bad = np.nonzero(table[right, ident] != 0)[0]
     if len(bad):
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, e.g. on Windows
-        return None
-    return pages * size if pages > 0 and size > 0 else None  # -1: indeterminate
-
-
-def _check_fits(n: int, what: str) -> None:
-    """Refuse `what`, an (n, n) array of 8-byte entries, if it exceeds physical memory."""
-    phys = _physical_memory()
-    if phys is not None and n * n * 8 > phys:
-        raise TooLarge(f"{what} would not fit in physical memory")
 
 
 def _finish(table: np.ndarray, descriptor: str, factors=None) -> FiniteGroup:

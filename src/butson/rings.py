@@ -19,8 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import _poly_divmod_monic
-from .errors import NotAUnit, UnsupportedRing
-from .groups import _physical_memory
+from .errors import NotAUnit, UnsupportedRing, _physical_memory
 
 
 def _poly_mod_mul(a, b, modulus, p):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .cyclotomic import CycInt, is_zero
-from .errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
-from .groups import _check_fits
+from .errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed, _check_fits
 
 _SEARCH_CAP = 10**7
 _SEARCH_MAX_LEN = 6

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from butson import construct, groups, verify
+from butson import construct, errors, verify
 from butson.cli import main
 from butson.groups import GroupRingElt
 from butson.rings import ChainRing, chain_ring
@@ -263,7 +263,7 @@ _BIG_H = {
 @pytest.mark.parametrize("case", list(_BIG_H))
 def test_too_large_h_exits_2(case, tmp_path, monkeypatch, capsys):
     text, argv = _BIG_H[case]
-    monkeypatch.setattr(groups, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 10**6)
     if text is not None:
         (tmp_path / "input.txt").write_text(text)
     assert run(*(a.format(file=tmp_path / "input.txt") for a in argv)) == 2

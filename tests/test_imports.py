@@ -30,6 +30,7 @@ def python(code: str, **env: str) -> list[str]:
 def test_cli_runs_numpy_with_one_blas_thread():
     value, threads = python(
         "import os, butson.cli\n"
+        "import numpy  # the CLI's handlers load numpy; the variable must be set before\n"
         "task = '/proc/self/task'\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(task)) if os.path.isdir(task) else '-')"
     )
@@ -67,3 +68,50 @@ def test_every_exported_name_resolves():
         "    print('AttributeError')"
     )
     assert out == ["True", "True", "AttributeError"]
+
+
+# butson modules each command loads beyond cli and errors, and whether it loads json
+_COMMON = {"cli", "errors"}
+_MATRIX = _COMMON | {"fileio", "groups", "verify", "cyclotomic"}
+_COMMANDS = {
+    "ring-info": (["ring-info", "--family", "galois", "--p", "2", "--d", "1", "--n", "1"],
+                  _COMMON | {"rings", "cyclotomic"}, False),
+    "solve-sum": (["solve-sum", "--length", "3", "--order", "3"], _COMMON | {"sums", "cyclotomic"}, False),
+    "verify": (["verify", "{bh}"], _MATRIX, False),
+    "verify-json": (["verify", "{bh}", "--format", "json"], _MATRIX, True),
+    "construct-group": (["construct", "group", "--order", "4", "--h", "4", "--out", "{tmp}/g.bh"],
+                        _MATRIX | {"construct"}, False),
+    "construct-local-partition": (
+        ["construct", "local-partition", "--family", "galois", "--p", "2", "--d", "1", "--n", "2",
+         "--t", "1", "--h", "2", "--out", "{tmp}/p.bh"],
+        _MATRIX | {"construct", "rings", "sums"}, False),
+    "export-array": (["export-array", "{bh}", "--out", "{tmp}/x.arr"], _MATRIX | {"arrays"}, False),
+    "verify-array": (["verify-array", "{arr}"], _MATRIX | {"arrays"}, False),
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    code = (
+        "from butson.cli import main\n"
+        f"assert main(['construct', 'group', '--order', '4', '--h', '4', '--out', {str(tmp / 'c4.bh')!r}]) == 0\n"
+        f"assert main(['export-array', {str(tmp / 'c4.bh')!r}, '--out', {str(tmp / 'c4.arr')!r}]) == 0"
+    )
+    python(code)
+    return {"tmp": str(tmp), "bh": str(tmp / "c4.bh"), "arr": str(tmp / "c4.arr")}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_imports_only_the_modules_it_runs(command, files):
+    argv, modules, loads_json = _COMMANDS[command]
+    argv = [a.format(**files) for a in argv]
+    out = python(
+        "import sys\n"
+        "from butson.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('RESULT', code, 'json' in sys.modules, *sorted(m for m in sys.modules if m.startswith('butson.')))"
+    )
+    result = out[out.index("RESULT") + 1:]
+    assert result[:2] == ["0", str(loads_json)]
+    assert set(result[2:]) == {f"butson.{m}" for m in modules}

@@ -29,3 +29,13 @@ def test_build_gallery_verifies_every_entry():
     lines = proc.stdout.splitlines()
     assert len(lines) == 8 and all("rows=True ring=True" in ln for ln in lines)
     assert "False" not in proc.stdout
+
+
+def test_coldstart_compares_one_round():
+    src = str(ROOT / "src")
+    proc = run_script("coldstart.py", src, src, "--rounds", "1", "--importtime")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "butson: butson.errors butson.cli butson.cyclotomic butson.rings" in out
+    assert "exit codes: old [0], new [0]" in out
+    assert out.count("pairs, slower in") == 2  # wall and cpu of the default command
