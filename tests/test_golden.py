@@ -63,6 +63,20 @@ GOLDEN = {
         ["construct", "local-lines", "--family", "truncated", "--p", "3", "--d", "1", "--n", "2", "--h", "6"],
         "464ff7e6091adf75e887eb839272b893b6df948b71855c3cfe8d47e04be69f1d",
         "425d77e247ba929fdf8107530a8077232c8ef4b52360dcb96e17d41219f27de6"),
+    # d = 2 rings: the truncated ones multiply field blocks, not single coordinates
+    "lines-truncated-256-h6": (
+        ["construct", "local-lines", "--family", "truncated", "--p", "2", "--d", "2", "--n", "2", "--h", "6"],
+        "21941f1b8c55125346df11b97f77ae83b08bedba6f6dea3c9ae8f43d3ab4fcd4",
+        "5ef9ea19416ce57eb68fc92a0a3d32788a01d4b4009c134ca2ee961abba19c1c"),
+    "partition-truncated-256-h4": (
+        ["construct", "local-partition", "--family", "truncated", "--p", "2", "--d", "2", "--n", "2",
+         "--t", "1", "--h", "4", "--seed", "7"],
+        "969c65f598dfaeffec55301fd5b0ad08067ee8d52f4ac5b0288ded4ed83231d4",
+        "f9945241c7260f30e22e8c2c492dd801f9799a80c1151dc092dddab5d0ebc474"),
+    "lines-256-h6": (
+        ["construct", "local-lines", "--family", "galois", "--p", "2", "--d", "2", "--n", "2", "--h", "6"],
+        "9991f1d99e1f58d0f081c550dfa7d82675e22aa814904c3c67f2dcd1bb51c972",
+        "116fdd59569fcf138d95d3980a4122ad9fc47328d4ca869990d9709a60133dbf"),
 }
 
 
