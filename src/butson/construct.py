@@ -196,38 +196,38 @@ def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list]:
     if not 1 <= t <= R.d:
         raise BadT(f"t must be in 1..{R.d}, got {t}")
     parts: list[list] = [[] for _ in range(R.p**t)]
-    ideal = R.ideal_elements(R.n - 1)
+    cosets = _top_ideal_cosets(R)
     rng = random.Random(seed) if seed is not None else None
-    assigned = set()
     slot = 0
-    for x in R.elements:
-        if x in assigned:
-            continue
-        coset = sorted((R.add(x, j) for j in ideal), key=R.index.get)
+    for coset in cosets:
         if rng is not None:
             rng.shuffle(coset)
         for y in coset:
             parts[slot % len(parts)].append(y)
-            assigned.add(y)
             slot += 1
-    _check_partition(R, parts, R.p ** (R.d - t))
+    _check_partition(cosets, parts, R.p ** (R.d - t))
     return parts
 
 
-def _check_partition(R: ChainRing, parts, expected: int) -> None:
-    ideal = set(R.ideal_elements(R.n - 1))
-    reps = []
+def _top_ideal_cosets(R: ChainRing) -> list[list]:
+    """The cosets of I^(n-1), ordered by their first element, each sorted by R.index."""
+    ideal = R.ideal_elements(R.n - 1)
+    cosets: list[list] = []
     seen = set()
     for x in R.elements:
         if x in seen:
             continue
-        reps.append(x)
-        seen.update(R.add(x, j) for j in ideal)
+        coset = sorted((R.add(x, j) for j in ideal), key=R.index.get)
+        seen.update(coset)
+        cosets.append(coset)
+    return cosets
+
+
+def _check_partition(cosets, parts, expected: int) -> None:
     for part in parts:
         pset = set(part)
-        for a in reps:
-            hit = sum(1 for j in ideal if R.add(a, j) in pset)
-            if hit != expected:
+        for coset in cosets:
+            if sum(1 for y in coset if y in pset) != expected:
                 raise BadT("partition does not meet a coset of I^(n-1) evenly")
 
 
@@ -336,7 +336,8 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
             ) from exc
         for node in list(nodes):
             kids = children(node, level + step)
-            assert kids[0] == node
+            if kids[0] != node:
+                raise SelfCheckFailed(f"the first child of node {node} at level {level + step} is not the node")
             for idx, kid in enumerate(kids[1:]):
                 values[kid] = sibs.exps[idx]
 

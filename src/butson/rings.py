@@ -6,11 +6,14 @@ Two families are supported:
              Here pi = p, the chain has length n, and p = pi^1 * unit (m = 1).
 * truncated: F_{p^d}[u]/(u^n).  Here pi = u, p = 0 = pi^n * unit (m = n).
 
-Elements are canonical coordinate tuples: galois elements are d coefficients
-mod p^n; truncated elements are n coefficients, each itself a degree-<d
-coordinate tuple mod p.  All arithmetic is exact.  `elements` lists the
-flattened coordinates in row-major order over `additive_factors`, so
-`index` is also the element index of make_abelian(additive_factors).
+Both families are free Z_q-modules, and every element is one flat tuple of
+`len(additive_factors)` coordinates mod q: galois elements are the d
+coefficients of a polynomial in x, with q = p^n; truncated elements are the
+n coefficients of a polynomial in u, each a block of d coordinates of an
+element of F_{p^d}, one block after the other, with q = p.  All arithmetic
+is exact.  `elements` lists the tuples in row-major order over
+`additive_factors`, so `index` is also the element index of
+make_abelian(additive_factors).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import _poly_divmod_monic
-from .errors import NotAUnit, UnsupportedRing, _physical_memory
+from .errors import NotAUnit, SelfCheckFailed, UnsupportedRing, _physical_memory
 
 
 def _poly_mod_mul(a, b, modulus, p):
@@ -81,73 +84,45 @@ class ChainRing:
         self.family = family
         self.p, self.d, self.n = p, d, n
         self.size = p ** (d * n)
+        self.modulus = irreducible_poly(p, d)
         if family == "galois":
-            self.pa = p**n  # coordinate modulus
-            self.modulus = irreducible_poly(p, d)
-            self.additive_factors = (self.pa,) * d
+            self.q = p**n  # coordinate modulus
+            self.additive_factors = (self.q,) * d
+            self.pi = (p % self.q,) + (0,) * (d - 1)
         else:
-            self.field_modulus = irreducible_poly(p, d)
+            self.q = p
             self.additive_factors = (p,) * (d * n)
-        self.elements = self._enumerate()
+            self.pi = ((0,) * d + (1,) + (0,) * (d * n))[: d * n]  # u, or 0 when n = 1
+        self.elements = list(product(range(self.q), repeat=len(self.additive_factors)))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = self.elements[0]
-        self.one = self._make_one()
-        self.pi = self._make_pi()
+        self.one = (1,) + self.zero[1:]
         self._inv_cache: dict = {}
         self._unit_count = self.size - p ** (d * (n - 1))
-
-    # -- representation ------------------------------------------------
-
-    def _enumerate(self):
-        if self.family == "galois":
-            return [tuple(c) for c in product(range(self.pa), repeat=self.d)]
-        coords = [tuple(c) for c in product(range(self.p), repeat=self.d)]
-        return [tuple(c) for c in product(coords, repeat=self.n)]
-
-    def _make_one(self):
-        if self.family == "galois":
-            return (1,) + (0,) * (self.d - 1)
-        fone = (1,) + (0,) * (self.d - 1)
-        fzero = (0,) * self.d
-        return (fone,) + (fzero,) * (self.n - 1)
-
-    def _make_pi(self):
-        if self.family == "galois":
-            return ((self.p % self.pa),) + (0,) * (self.d - 1)
-        fone = (1,) + (0,) * (self.d - 1)
-        fzero = (0,) * self.d
-        if self.n == 1:
-            return (fzero,)  # u = 0 in a plain field
-        return (fzero, fone) + (fzero,) * (self.n - 2)
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x, y):
-        if self.family == "galois":
-            return tuple((a + b) % self.pa for a, b in zip(x, y))
-        return tuple(
-            tuple((a + b) % self.p for a, b in zip(cx, cy)) for cx, cy in zip(x, y)
-        )
+        return tuple((a + b) % self.q for a, b in zip(x, y))
 
     def neg(self, x):
-        if self.family == "galois":
-            return tuple((-a) % self.pa for a in x)
-        return tuple(tuple((-a) % self.p for a in cx) for cx in x)
+        return tuple((-a) % self.q for a in x)
 
     def mul(self, x, y):
         if self.family == "galois":
-            return _poly_mod_mul(x, y, self.modulus, self.pa)
-        # convolution in u, truncated at u^n; coefficients in F_{p^d}
-        fzero = (0,) * self.d
-        out = [fzero] * self.n
-        for i, cx in enumerate(x):
-            if cx == fzero:
-                continue
-            for j, cy in enumerate(y):
-                if i + j >= self.n or cy == fzero:
-                    continue
-                prod_ = _poly_mod_mul(cx, cy, self.field_modulus, self.p)
-                out[i + j] = tuple((a + b) % self.p for a, b in zip(out[i + j], prod_))
+            return _poly_mod_mul(x, y, self.modulus, self.q)
+        # convolution in u of the n blocks of d coordinates (elements of
+        # F_{p^d}), truncated at u^n; i and j are the offsets of the blocks
+        d, p, k = self.d, self.p, len(x)
+        xs = [(i, x[i:i + d]) for i in range(0, k, d) if any(x[i:i + d])]
+        ys = [(j, y[j:j + d]) for j in range(0, k, d) if any(y[j:j + d])]
+        out = [0] * k
+        for i, cx in xs:
+            for j, cy in ys:
+                if i + j >= k:
+                    break
+                for m, c in enumerate(_poly_mod_mul(cx, cy, self.modulus, p), i + j):
+                    out[m] = (out[m] + c) % p
         return tuple(out)
 
     def pow_pi(self, k: int):
@@ -171,7 +146,8 @@ class ChainRing:
                 inv = self.mul(inv, base)
             base = self.mul(base, base)
             e >>= 1
-        assert self.mul(x, inv) == self.one
+        if self.mul(x, inv) != self.one:
+            raise SelfCheckFailed(f"{inv} does not invert {x} in {self.describe()}")
         self._inv_cache[x] = inv
         return inv
 
@@ -179,15 +155,11 @@ class ChainRing:
 
     def val(self, x) -> int:
         """pi-adic valuation; val(0) = n by convention."""
+        if not any(x):
+            return self.n
         if self.family == "galois":
-            if all(a == 0 for a in x):
-                return self.n
             return min(_pval(a, self.p) for a in x if a != 0)
-        fzero = (0,) * self.d
-        for i, c in enumerate(x):
-            if c != fzero:
-                return i
-        return self.n
+        return next(i for i, a in enumerate(x) if a) // self.d
 
     def unit_part(self, x):
         """Canonical u with x = pi^val(x) * u, by exact coordinate division."""
@@ -197,8 +169,7 @@ class ChainRing:
         if self.family == "galois":
             q = self.p**t
             return tuple(a // q for a in x)
-        fzero = (0,) * self.d
-        return tuple(x[t:]) + (fzero,) * t
+        return x[t * self.d:] + self.zero[: t * self.d]
 
     def phi(self, x):
         """x = pi^k u maps to pi^k u^{-1}; an involution fixing 0."""
@@ -214,14 +185,9 @@ class ChainRing:
         return [x for x in self.elements if self.val(x) >= t]
 
     def coset_transversal_R1(self):
-        """Canonical transversal of I containing 0 (lex-minimal coordinates)."""
-        if self.family == "galois":
-            return [tuple(c) for c in product(range(self.p), repeat=self.d)]
-        fzero = (0,) * self.d
-        return [
-            (tuple(c),) + (fzero,) * (self.n - 1)
-            for c in product(range(self.p), repeat=self.d)
-        ]
+        """Canonical transversal of I containing 0: the first d coordinates run over 0..p-1."""
+        rest = self.zero[self.d:]
+        return [c + rest for c in product(range(self.p), repeat=self.d)]
 
     def coset_chain(self):
         """R_0 = {0} up to R_n = R with R_i = R_1 + pi R_1 + ... + pi^(i-1) R_1."""
@@ -232,7 +198,8 @@ class ChainRing:
             step = [self.mul(self.pow_pi(i), s) for s in r1]
             cur = [self.add(x, y) for x in cur for y in step]
             cur = sorted(set(cur), key=self.index.get)
-            assert len(cur) == self.p ** (self.d * (i + 1))
+            if len(cur) != self.p ** (self.d * (i + 1)):
+                raise SelfCheckFailed(f"level {i + 1} of the coset chain of {self.describe()} has {len(cur)} elements")
             chain.append(cur)
         return chain
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from butson.errors import ButsonError, UnsupportedRing
-from butson.groups import make_abelian
+from butson.groups import abelian_index, make_abelian
 from butson.rings import chain_ring, irreducible_poly
 
 SMALL_RINGS = [
@@ -115,6 +119,44 @@ def test_additive_group_matches_ring_addition(ring):
     for x in ring.elements[: min(ring.size, 16)]:
         for y in ring.elements[: min(ring.size, 16)]:
             assert ring.elements[G.mul(ring.index[x], ring.index[y])] == ring.add(x, y)
+
+
+def test_elements_are_flat_coordinate_tuples(ring):
+    # one coordinate mod q per additive factor, in make_abelian's index order
+    G = make_abelian(ring.additive_factors)
+    for x in ring.elements:
+        assert len(x) == len(ring.additive_factors)
+        assert all(type(a) is int and 0 <= a < q for a, q in zip(x, ring.additive_factors))
+        assert ring.index[x] == abelian_index(G, x)
+
+
+def test_ring_self_checks_survive_python_O():
+    code = textwrap.dedent("""
+        import sys
+        from butson.errors import SelfCheckFailed
+        from butson.rings import chain_ring
+
+        assert sys.flags.optimize, "asserts are on"
+        for spec in [("galois", 3, 1, 2), ("truncated", 2, 2, 2)]:
+            R = chain_ring(*spec)
+            R._unit_count += 1  # x^(count - 1) no longer inverts x
+            try:
+                [R.phi(x) for x in R.elements]
+                sys.exit(f"phi of {spec} passed with a wrong unit count")
+            except SelfCheckFailed:
+                pass
+            R = chain_ring(*spec)
+            R.coset_transversal_R1 = lambda: [R.zero] * R.p ** R.d
+            try:
+                R.coset_chain()
+                sys.exit(f"the coset chain of {spec} passed with a repeated transversal")
+            except SelfCheckFailed:
+                pass
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_z4_facts():

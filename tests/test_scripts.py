@@ -39,3 +39,11 @@ def test_coldstart_compares_one_round():
     assert "butson: butson.errors butson.cli butson.cyclotomic butson.rings" in out
     assert "exit codes: old [0], new [0]" in out
     assert out.count("pairs, slower in") == 2  # wall and cpu of the default command
+
+
+def test_census_exits_0_or_2_on_small_rings():
+    proc = run_script("census.py", "--max-square", "256")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[1] for row in rows} == {"0", "2"}, [row for row in rows if row[1] not in ("0", "2")]
