@@ -97,7 +97,8 @@ class BlockParams:
             case, l = "EvenVal", h // k
         else:
             case, l = "OddValGe3", h // (2 * k)
-        assert l % 2 == 1
+        if l % 2 != 1:
+            raise SelfCheckFailed(f"block plan for n={n} has even l={l}")
         return cls(n, h, k, case, l, m)
 
 
@@ -161,7 +162,8 @@ def construct_group_bh(
 
     B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
     reps = coset_reps(G, sub)
-    assert len(reps) == k
+    if len(reps) != k:
+        raise SelfCheckFailed(f"{len(reps)} coset representatives for {k} blocks")
     # entry j of block i is the coefficient of g^j r_i, g the generator
     e = np.zeros(n, dtype=np.int64)
     e[G.table[list(sub)][:, reps]] = B.T * (h // h0)

@@ -181,8 +181,6 @@ def read_array(path: str | Path) -> PerfectArray:
     with _reading(path):
         dims = tuple(int(x) for x in fields["dims"].split(","))
         flat = _integers([" ".join(lines)] if lines else [])  # entries may wrap anywhere
-    if min(dims) < 1:
-        raise ButsonError(f"{path}: every dimension must be positive, got dims={fields['dims']}")
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
     return PerfectArray(dims, h, flat)

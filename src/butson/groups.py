@@ -2,12 +2,12 @@
 
 Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
-table[a, b] = a*b, and the inverses one read-only (order,) array; builders
-fill the table with broadcast expressions, and consumers (materialize, the
-invariance check, the unimodular product histograms, normality) gather
-through it as a whole.  `mul` and `inv` return Python ints.  Abelian groups built in
-invariant-factor form keep their factor list, which is what the character
-machinery consumes.
+table[a, b] = a*b, and the inverses one read-only (order,) array.  A block
+of table rows comes from `FiniteGroup.rows`: abelian groups in factor form
+compute it from their factor list, which the characters also read, and
+build `table` and `inverse` only when asked for them; every other group
+stores the table its builder fills by a broadcast expression.  `mul` and
+`inv` return Python ints.
 
 A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,) int64
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
     OrderMismatch,
+    SelfCheckFailed,
     _check_fits,
 )
 
@@ -51,10 +53,23 @@ from .errors import (
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
-    table: np.ndarray  # read-only (order, order) np.intp; table[a, b] = a*b
-    inverse: np.ndarray  # read-only (order,) np.intp
     descriptor: str
     abelian_factors: tuple[int, ...] | None = None
+    stored: np.ndarray | None = None  # the table of a group built from one, else None
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """table[start:stop]; a group in factor form computes it from its factors."""
+        if self.abelian_factors is None:
+            return self.table[start:stop]
+        return _sum_rows(self.abelian_factors, np.arange(*slice(start, stop).indices(self.order)))
+
+    @cached_property
+    def table(self) -> np.ndarray:  # read-only (order, order) np.intp; table[a, b] = a*b
+        return self.stored if self.stored is not None else _frozen(self.rows(0, self.order))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:  # read-only (order,) np.intp
+        return _frozen(np.nonzero(self.table == 0)[1])
 
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
@@ -71,6 +86,22 @@ class FiniteGroup:
 
     def same_as(self, other: "FiniteGroup") -> bool:
         return self is other or np.array_equal(self.table, other.table)
+
+
+def _sum_rows(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
+    """Rows r of the table of Z_f1 x ... x Z_fk, as one Kronecker step of its two halves."""
+    if len(factors) == 1:
+        return (r[:, None] + np.arange(factors[0])) % factors[0]
+    half = len(factors) // 2
+    low = math.prod(factors[half:])
+    # element a*low + x is the pair (a, x); halves keep numpy's innermost loop long
+    block = _sum_rows(factors[:half], r // low)[:, :, None] * low + _sum_rows(factors[half:], r % low)[:, None, :]
+    return block.reshape(len(r), math.prod(factors))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_axioms(table: np.ndarray) -> None:
@@ -111,17 +142,9 @@ def _check_axioms(table: np.ndarray) -> None:
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
 
-def _finish(table: np.ndarray, descriptor: str, factors=None) -> FiniteGroup:
-    """Freeze a group's (n, n) np.intp table; all builders end here."""
-    inverse = np.nonzero(table == 0)[1]
-    table.flags.writeable = inverse.flags.writeable = False
-    return FiniteGroup(
-        order=len(table),
-        table=table,
-        inverse=inverse,
-        descriptor=descriptor,
-        abelian_factors=tuple(factors) if factors is not None else None,
-    )
+def _finish(table: np.ndarray, descriptor: str) -> FiniteGroup:
+    """A group kept as its (n, n) np.intp table; every builder but make_abelian ends here."""
+    return FiniteGroup(len(table), descriptor, stored=_frozen(table))
 
 
 def make_abelian(factors) -> FiniteGroup:
@@ -134,12 +157,7 @@ def make_abelian(factors) -> FiniteGroup:
         desc = f"cyclic {factors[0]}"
     order = math.prod(factors)
     _check_fits(order, f"the Cayley table of {desc} (order {order})")
-    # Kronecker steps: element a*f + x of (G so far) x Z_f is the pair (a, x)
-    table = np.zeros((1, 1), dtype=np.intp)
-    for f in factors:
-        m, c = len(table), np.arange(f, dtype=np.intp)
-        table = (table[:, None, :, None] * f + ((c[:, None] + c) % f)[:, None, :]).reshape(m * f, m * f)
-    return _finish(table, desc, factors=factors)
+    return FiniteGroup(order, desc, factors)
 
 
 def abelian_coords(G: FiniteGroup, i: int) -> tuple[int, ...]:
@@ -216,7 +234,8 @@ def coset_reps(G: FiniteGroup, subgroup) -> list[int]:
             continue
         reps.append(x)
         covered.update(G.mul(s, x) for s in H)
-    assert len(reps) == G.order // len(H)
+    if len(reps) != G.order // len(H):
+        raise SelfCheckFailed(f"{len(reps)} right cosets of a subgroup of order {len(H)} in order {G.order}")
     return reps
 
 
@@ -352,7 +371,7 @@ def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) ->
     hist = np.empty((m, n, h), dtype=np.int64)
     step = max(1, CHUNK_CELLS // (m * n))
     for g0 in range(0, n, step):
-        hist[:, g0 : g0 + step] = difference_histograms(x[G.table[g0 : g0 + step]], Y, h).swapaxes(0, 1)
+        hist[:, g0 : g0 + step] = difference_histograms(x[G.rows(g0, g0 + step)], Y, h).swapaxes(0, 1)
     return hist
 
 

@@ -9,10 +9,11 @@ exponent differences with `groups.difference_histograms` in batches of
 bounded size, and zero-tests the (N, h) counts exactly with
 `cyclotomic.zero_rows`.
 
-`correlation_defects` tests D D^(-1) = |G|.  It serves `verify_group_ring`
-and `verify_bh` on a matrix found G-invariant by one gather: there
-<row 0, row g> is the conjugate of the coefficient of g in D D^(-1), with D
-the matrix's column 0.  Non-invariant input, or `full`, gets every row pair;
+`correlation_defects` tests D D^(-1) = |G| on batches of `FiniteGroup.rows`
+up to the first defect.  It serves `verify_group_ring`, `arrays.verify_perfect`
+and `verify_bh` on a matrix found G-invariant by one gather: there <row 0,
+row g> is the conjugate of the coefficient of g in D D^(-1), with D the
+matrix's column 0.  Non-invariant input, or `full`, gets every row pair;
 that route, `verify_by_characters` and `gr_mul` are the oracles.
 """
 
@@ -37,7 +38,6 @@ from .groups import (
     difference_histograms,
     gr_conj_inv,
     gr_mul,
-    unimodular_products,
 )
 
 
@@ -100,10 +100,18 @@ def _pair_blocks(E: np.ndarray, h: int):
 
 
 def correlation_defects(G: FiniteGroup, h: int, e: np.ndarray) -> np.ndarray:
-    """The g, ascending, whose coefficient in D D^(-1) - |G| is nonzero, for D = sum zeta_h^e[g] g."""
-    hist = unimodular_products(G, h, e, e[None])[0]
-    hist[0, 0] -= G.order
-    return np.flatnonzero(~zero_rows(hist))
+    """The g, ascending, whose coefficient in D D^(-1) - |G| is nonzero, for D = sum zeta_h^e[g] g.
+
+    Rows g >= 1 (g = 0 gives |G|) go in batches of about CHUNK_CELLS cells, up to the first with a defect.
+    """
+    n = G.order
+    step = max(1, CHUNK_CELLS // n)
+    for g0 in range(1, n, step):
+        hist = difference_histograms(e[G.rows(g0, g0 + step)], e[None], h)[:, 0]
+        bad = np.flatnonzero(~zero_rows(hist))
+        if len(bad):
+            return g0 + bad
+    return np.zeros(0, dtype=np.intp)
 
 
 def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:

@@ -128,3 +128,9 @@ def test_arrays_beyond_numpy_axes_are_refused(tmp_path):
     path.write_text("array h=2 dims=" + ",".join(["1"] * 65) + "\n0\n")
     with pytest.raises(InvalidParams, match="at most 64 axes"):
         read_array(path)
+
+
+@pytest.mark.parametrize("dims", [(0,), (2, 0), (-1,), (-2, -1)])
+def test_dimensions_below_1_are_refused(dims):
+    with pytest.raises(InvalidParams, match="every dimension must be positive"):
+        PerfectArray(dims, 2, [])

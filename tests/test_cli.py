@@ -272,6 +272,17 @@ def test_too_large_h_exits_2(case, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_verify_array_needs_no_room_for_a_cayley_table(tmp_path, monkeypatch, capsys):
+    ring = ["--family", "galois", "--p", "3", "--d", "1", "--n", "2"]
+    assert run("construct", "local-partition", *ring, "--t", "1", "--h", "3", "--out", str(tmp_path / "r.bh")) == 0
+    assert run("export-array", str(tmp_path / "r.bh"), "--out", str(tmp_path / "r.arr")) == 0
+    # the order-81 array verifies on a machine too small for its 81 x 81 table
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 81 * 81 * 8 - 1)
+    capsys.readouterr()
+    assert run("verify-array", str(tmp_path / "r.arr")) == 0
+    assert "perfect=True" in capsys.readouterr().out
+
+
 def test_cli_never_converts_through_group_ring_elements(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(GroupRingElt, "from_exponents",

@@ -372,6 +372,33 @@ def test_self_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("patch", [
+    "construct.block_count = lambda n, h: 1",  # n = 4, h = 2 then plans l = 2, which must be odd
+    "construct.coset_reps = lambda G, sub: [0]",  # one representative for k = 2 blocks
+], ids=["plan", "coset-reps"])
+def test_construction_one_checks_survive_python_O(patch):
+    code = textwrap.dedent("""
+        import sys
+        from butson import construct
+        from butson.errors import SelfCheckFailed
+        from butson.groups import make_cyclic
+
+        assert sys.flags.optimize, "asserts are on"
+        {patch}
+        G = make_cyclic(4)
+        gen = construct.find_normal_cyclic_generator(G, 4 // construct.block_count(4, 2))
+        try:
+            construct.construct_group_bh(G, gen, 2)
+        except SelfCheckFailed:
+            sys.exit(0)
+        sys.exit(1)
+    """).format(patch=patch)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _corrupted(blocks, i, g):
     """The blocks with one exponent of block i shifted by 1."""
     b = blocks[i]

@@ -367,6 +367,22 @@ def test_make_abelian_rejects_bad_factors():
         make_cyclic(0)
 
 
+@pytest.mark.parametrize("factors", [(1,), (6, 1, 2), (2, 3, 4), (25, 25), (4, 4, 4, 4), (1,) * 65],
+                         ids=["1", "6-1-2", "2-3-4", "25-25", "4-4-4-4", "65-ones"])
+def test_rows_of_factor_form_groups_match_coordinate_sums(factors):
+    G = make_abelian(factors)
+    n = G.order
+    coords = [abelian_coords(G, a) for a in G.elements()]
+    table = np.array([[abelian_index(G, [x + y for x, y in zip(a, b)]) for b in coords] for a in coords])
+    for step in sorted({1, 7, 64, n}):
+        # the last batch runs past the end, as table[start:stop] allows
+        for start in range(0, n + 1, step):
+            block = G.rows(start, start + step)
+            assert block.dtype == np.intp and np.array_equal(block, table[start : start + step]), (step, start)
+    assert np.array_equal(G.table, table) and not G.table.flags.writeable
+    assert np.array_equal(G.inverse, np.argmin(table, axis=1))
+
+
 def test_builders_refuse_tables_beyond_physical_memory(monkeypatch):
     # a machine with 60000 bytes holds the 81^2 * 8 bytes of Z_81, not Z_100
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 60000, "SC_PAGE_SIZE": 1}.__getitem__)

@@ -47,3 +47,16 @@ def test_census_exits_0_or_2_on_small_rings():
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert all(len(row) == 4 for row in rows)
     assert {row[1] for row in rows} == {"0", "2"}, [row for row in rows if row[1] not in ("0", "2")]
+
+
+def test_census_of_small_abelian_groups():
+    proc = run_script("census.py", "--max-square", "0", "--max-order", "16")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert all(len(row) == 4 for row in rows)
+    constructs = [row for row in rows if row[0].startswith("construct group")]
+    assert {row[0].rpartition(" ")[2] for row in constructs} >= {"cyclic:16", "abelian:2,2,2,2", "abelian:2,3"}
+    assert {row[1] for row in constructs} <= {"0", "2"}, [row for row in constructs if row[1] not in ("0", "2")]
+    # the valid matrix and its array verify; a shifted entry may or may not break the array
+    assert all(row[1] == "0" for row in rows if row[0] in ("verify g.bh", "verify-array g.arr"))
+    assert {row[1] for row in rows if row[0] == "verify-array m.arr"} == {"0", "1"}

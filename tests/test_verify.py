@@ -338,7 +338,7 @@ def test_batched_verdicts_match_scalar_reference(large_cases):
 
 def test_kernels_match_oracles_across_chunk_boundaries(monkeypatch, instance_gallery):
     # small chunks, so that every batched kernel runs several, the last one short
-    for mod in (groups, verify, arrays):
+    for mod in (groups, verify):
         monkeypatch.setattr(mod, "CHUNK_CELLS", 1000)
     rng = random.Random(1000)
     semi = _group_instance(make_semidirect(16, 4, 15))
@@ -370,3 +370,34 @@ def test_kernels_match_oracles_across_chunk_boundaries(monkeypatch, instance_gal
               PerfectArray(A.dims, A.h, tuple(rng.randrange(A.h) for _ in range(size)))]:
         assert verify_perfect(B) == all(is_zero(autocorrelation(B, s)) for s in shifts)
     assert verify_perfect(A)
+
+
+def test_verify_perfect_builds_no_cayley_table(monkeypatch, instance_gallery):
+    monkeypatch.setattr(verify, "CHUNK_CELLS", 1000)
+    monkeypatch.setattr(groups.FiniteGroup, "table", property(lambda G: pytest.fail("a Cayley table was built")))
+    blocks = []
+    rows = groups.FiniteGroup.rows
+
+    def spy(G, start, stop):
+        block = rows(G, start, stop)
+        blocks.append(len(block))
+        return block
+
+    monkeypatch.setattr(groups.FiniteGroup, "rows", spy)
+    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    assert arrays.verify_perfect(A) and not arrays.verify_perfect(A.with_entry(40, A.E.flat[40] + 1))
+    assert blocks and max(blocks) == 1000 // A.E.size < A.E.size
+
+
+def test_a_defect_in_the_first_batch_ends_the_check(monkeypatch, instance_gallery):
+    monkeypatch.setattr(verify, "CHUNK_CELLS", 1000)
+    calls = []
+    kernel = verify.difference_histograms
+    monkeypatch.setattr(verify, "difference_histograms", lambda *args: calls.append(1) or kernel(*args))
+    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    step = 1000 // A.E.size
+    assert arrays.verify_perfect(A) and len(calls) == -(-(A.E.size - 1) // step)  # g = 1..n-1
+    mutant = A.with_entry(0, A.E.flat[0] + 1)
+    assert verify.correlation_defects(make_abelian(A.dims), A.h, mutant.E.ravel())[0] < 1 + step
+    calls.clear()
+    assert not arrays.verify_perfect(mutant) and len(calls) == 1
