@@ -12,8 +12,9 @@ round to round.  Wall and CPU (user + sys) time come from `os.wait4`, for the
 child alone.  For each command the script prints each side's median and
 quartiles in ms, and in how many pairs NEW_SRC was faster (ties count for
 neither side).  With --importtime it first runs each command once more per
-side under `python -X importtime` and prints the butson modules it imported,
-in order, and the number and total self time of all modules imported.
+side under `python -X importtime` and prints whether it imported numpy, the
+butson modules it imported, in order, and the number and total self time of
+all modules imported.
 Commands run in the current directory; files they name are resolved there.
 """
 
@@ -49,13 +50,14 @@ def run(src: Path, argv: list[str], *flags: str) -> tuple[int, float, float, str
 
 
 def import_report(src: Path, argv: list[str]) -> str:
-    """The butson modules one call imports, in order, and totals over all its imports."""
+    """Whether one call imports numpy, the butson modules it imports, in order, and totals over all its imports."""
     _, _, _, err = run(src, argv, "-X", "importtime")
     found = [IMPORT_LINE.match(line) for line in err.splitlines()]
     found = [m for m in found if m]
     own = [m[2] for m in found if m[2].startswith("butson.")]
+    numpy = "yes" if any(m[2] == "numpy" for m in found) else "no"
     self_ms = sum(int(m[1]) for m in found) / 1000.0
-    return f"{len(found)} modules, {self_ms:.1f} ms self; butson: {' '.join(own) or '-'}"
+    return f"{len(found)} modules, {self_ms:.1f} ms self; numpy: {numpy}; butson: {' '.join(own) or '-'}"
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:

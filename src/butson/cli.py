@@ -4,8 +4,16 @@ Each command is one short process, so start-up is most of its cost at
 small orders.  A handler imports the modules it runs when it runs, and
 `json` only where it prints JSON: `ring-info` loads `rings` but not
 `groups`, `verify` loads no construction, ring or array code, and
-`construct group` no ring or sum code.  Where Python writes no bytecode
-cache, every module a command imports is also compiled again on each call.
+`construct group` no ring or sum code.  numpy is imported only by the
+modules and kernels that build arrays, so `ring-info` and `solve-sum` never
+load it.  Where Python writes no bytecode cache, every module a command
+imports is also compiled again on each call.
+
+When `main` reads the process's own command line, it freezes the objects
+alive at its return (`gc.freeze`), so the collection at interpreter exit
+does not walk numpy's objects; atexit handlers, flushing and the exit code
+are unchanged.  In-process callers pass `argv` and keep their collector as
+it was.
 
 numpy runs with one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
 """
@@ -19,6 +27,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -262,6 +271,9 @@ def main(argv=None) -> int:
     except ButsonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    finally:
+        if argv is None:  # the process ends next: spare its exit collection every live object
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .errors import (
     NotNormal,
     SchemeViolation,
     SelfCheckFailed,
+    UnsupportedAction,
     UnsupportedRing,
     WrongSubgroupOrder,
     _check_fits,
@@ -160,14 +161,95 @@ def construct_group_bh(
     if not is_normal(G, sub):
         raise NotNormal("the chosen cyclic subgroup is not normal")
 
-    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
     reps = coset_reps(G, sub)
     if len(reps) != k:
         raise SelfCheckFailed(f"{len(reps)} coset representatives for {k} blocks")
-    # entry j of block i is the coefficient of g^j r_i, g the generator
+    deal = deal_blocks(coset_actions(G, sub, reps), k)
+    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
+    # entry j of the block dealt to coset a is the coefficient of g^j r_a, g the generator
     e = np.zeros(n, dtype=np.int64)
-    e[G.table[list(sub)][:, reps]] = B.T * (h // h0)
+    e[G.table[list(sub)][:, reps]] = B[deal].T * (h // h0)
     return _self_checked(Unimodular(G, h, e))
+
+
+def coset_actions(G: FiniteGroup, sub, reps) -> np.ndarray:
+    """t_a with r_a g r_a^(-1) = g^(t_a) for each representative r_a; sub lists 1, g, g^2, ..."""
+    power = np.zeros(G.order, dtype=np.intp)
+    power[list(sub)] = np.arange(len(sub))
+    reps = np.asarray(reps, dtype=np.intp)
+    g = sub[1] if len(sub) > 1 else 0
+    return power[G.table[G.table[reps, g], G.inverse[reps]]]
+
+
+def deal_blocks(t, k: int) -> list[int]:
+    """Block index i_a for each coset a, with the t_a i_a pairwise distinct mod k.
+
+    Block i has nonzero character values only at the characters w = -m i
+    (mod k) of <g>, and conjugating by r_a moves them to w = -m t_a i, so the
+    cross term of cosets a != b vanishes when t_a i_a != t_b i_b (mod k).
+    The deal i_a = a is kept where it meets this.  Otherwise each fibre
+    {a : t_a = u}, u != 1, gets a set of indices closed under multiplication
+    by u, which u then permutes, and the fibre u = 1 takes the rest.
+    """
+    t = [int(u) % k for u in t]
+    if len({u * a % k for a, u in enumerate(t)}) == k:
+        return list(range(k))
+    fibres: dict[int, list[int]] = {}
+    for a, u in enumerate(t):
+        fibres.setdefault(u, []).append(a)
+    units = [u for u in fibres if u != 1]  # k > 1 here: k = 1 keeps the deal above
+    failed: set = set()
+
+    def place(j: int, free: frozenset) -> dict | None:
+        if j == len(units):
+            return {1: free}
+        if (j, free) not in failed:
+            for S in _closed_subsets(units[j], k, free, len(fibres[units[j]])):
+                rest = place(j + 1, free - S)
+                if rest is not None:
+                    return {units[j]: S, **rest}
+            failed.add((j, free))
+        return None
+
+    sets = place(0, frozenset(range(k)))
+    if sets is None:
+        raise UnsupportedAction(
+            f"no deal of the {k} blocks gives each action in {sorted(fibres)} mod {k} a set of blocks it permutes"
+        )
+    deal = [0] * k
+    for u, cosets in fibres.items():
+        for a, i in zip(cosets, sorted(sets[u])):
+            deal[a] = i
+    return deal
+
+
+def _closed_subsets(u: int, k: int, free: frozenset, size: int):
+    """Each union of the orbits of x -> u x inside `free` that has `size` elements."""
+    orbits, seen = [], set()
+    for x in sorted(free):
+        if x not in seen:
+            orbit, y = {x}, u * x % k
+            while y != x:
+                orbit.add(y)
+                y = u * y % k
+            seen |= orbit
+            if orbit <= free:
+                orbits.append(frozenset(orbit))
+    orbits.sort(key=len, reverse=True)
+    reach = [1] * (len(orbits) + 1)  # bit s of reach[j]: some orbits[j:] sum to s
+    for j in range(len(orbits) - 1, -1, -1):
+        reach[j] = reach[j + 1] | reach[j + 1] << len(orbits[j])
+
+    def pick(j: int, r: int):
+        if r == 0:
+            yield frozenset()
+        elif reach[j] >> r & 1:
+            if len(orbits[j]) <= r and reach[j + 1] >> (r - len(orbits[j])) & 1:
+                for rest in pick(j + 1, r - len(orbits[j])):
+                    yield orbits[j] | rest
+            yield from pick(j + 1, r)
+
+    yield from pick(0, size)
 
 
 def _self_checked(D: Unimodular) -> Unimodular:

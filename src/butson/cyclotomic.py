@@ -9,16 +9,20 @@ The batched test `zero_rows` reduces a whole (N, h) coefficient array at once
 as `hist @ reduction_matrix(h)`, whose row j holds x^j mod Phi_h.  It runs in
 int64 only when max_row sum|c_j| * max|Rm| < 2^62, which bounds every partial
 sum of the product, and otherwise in Python ints, so it is exact either way.
+numpy is imported by the three functions that build or reduce arrays, so
+`CycInt`, `is_zero` and the polynomial helpers load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import NotOdd, OrderMismatch, SelfCheckFailed
 
-from .errors import NotOdd, OrderMismatch
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of p by the monic polynomial d, exact over Z."""
-    assert d and d[-1] == 1
+    if not d or d[-1] != 1:
+        raise SelfCheckFailed(f"the divisor {d!r} is not monic")
     r = list(p)
     dd = len(d) - 1
     q = [0] * max(len(r) - dd, 0)
@@ -170,7 +175,8 @@ def cyclotomic_poly(h: int) -> tuple[int, ...]:
         if h % d == 0:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
     q, r = _poly_divmod_monic(num, den)
-    assert not r and len(q) - 1 == _totient(h)
+    if r or len(q) - 1 != _totient(h):
+        raise SelfCheckFailed(f"x^{h} - 1 over Phi_d, d a proper divisor, is not exact of degree phi({h})")
     return tuple(q)
 
 
@@ -189,6 +195,8 @@ def reduction_matrix(h: int) -> np.ndarray:
     Distinct roots zeta_h^j have distinct rows, and a coefficient vector c is
     zero in Z[zeta_h] exactly when c @ reduction_matrix(h) is.
     """
+    import numpy as np
+
     phi = cyclotomic_poly(h)
     d = len(phi) - 1
     low = [(i, c) for i, c in enumerate(phi[:-1]) if c]  # x^d = -sum c x^i
@@ -211,6 +219,8 @@ def reduction_matrix(h: int) -> np.ndarray:
 
 def _max_row_l1(a: np.ndarray) -> int:
     """max over rows of sum |a_ij|, exactly, as a Python int."""
+    import numpy as np
+
     if a.size == 0:
         return 0
     if a.dtype != object:
@@ -229,6 +239,8 @@ def reduce_rows(hist) -> np.ndarray:
 
     Row i of the (N, phi(h)) result is zero iff sum_j hist[i, j] zeta_h^j is.
     """
+    import numpy as np
+
     hist = np.asarray(hist)
     Rm = reduction_matrix(hist.shape[1])
     if _max_row_l1(hist) * int(np.abs(Rm).max()) < _INT64_SAFE:

@@ -71,6 +71,10 @@ class NotNormal(ButsonError):
     """The chosen cyclic subgroup is not normal."""
 
 
+class UnsupportedAction(ButsonError):
+    """No deal of construction 1's blocks to the cosets suits how they act on the subgroup."""
+
+
 class BadT(ButsonError):
     """Partition parameter t outside 1..d."""
 

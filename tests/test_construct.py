@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -18,9 +19,11 @@ from butson.construct import (
     BlockParams,
     block_count,
     build_blocks,
+    coset_actions,
     construct_group_bh,
     construct_line_bh,
     construct_partition_bh,
+    deal_blocks,
     find_normal_cyclic_generator,
     line_family,
     min_h,
@@ -39,6 +42,7 @@ from butson.errors import (
     SchemeViolation,
     SelfCheckFailed,
     TooLarge,
+    UnsupportedAction,
     UnsupportedRing,
     WrongSubgroupOrder,
 )
@@ -46,6 +50,7 @@ from butson.groups import (
     Unimodular,
     apply_char,
     characters,
+    coset_reps,
     cyclic_subgroup,
     gr_conj_inv,
     gr_mul,
@@ -54,8 +59,9 @@ from butson.groups import (
     make_semidirect,
 )
 from butson.rings import chain_ring
+from butson.cli import main
 from butson.sums import zero_sum
-from butson.verify import verify_group_ring
+from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
 
@@ -146,6 +152,86 @@ def test_group_bh_quaternion(q8_table):
     G = make_from_table(q8_table)
     D = construct_group_bh(G, find_normal_cyclic_generator(G, 4), 4)
     assert verify_group_ring(D)
+
+
+def dicyclic_table(n: int) -> list[list[int]]:
+    """Cayley table of <a, b | a^(2n), b^2 = a^n, b a b^(-1) = a^(-1)>; a^i b^j has index 2i + j."""
+    table = []
+    for x in range(4 * n):
+        i, j = divmod(x, 2)
+        row = []
+        for y in range(4 * n):
+            k, l = divmod(y, 2)
+            row.append(2 * ((i + (-k if j else k) + (n if j and l else 0)) % (2 * n)) + (j + l) % 2)
+        table.append(row)
+    return table
+
+
+def relabelled(table, seed: int):
+    """The group of `table` under a seeded bijection of its elements that fixes the identity."""
+    table = np.asarray(table)
+    perm = np.array([0] + random.Random(seed).sample(range(1, len(table)), len(table) - 1))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return make_from_table(out)
+
+
+_RELABELLED = {
+    "D4": make_semidirect(4, 2, 3).table,
+    "Q8": quaternion_table(),
+    "Q16": dicyclic_table(4),
+    "semidirect:16,4,15": make_semidirect(16, 4, 15).table,
+    "semidirect:64,4,31": make_semidirect(64, 4, 31).table,
+}
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("name", list(_RELABELLED))
+def test_group_bh_builds_under_any_labelling(name, m):
+    for seed in range(4):
+        G = relabelled(_RELABELLED[name], seed)
+        n = G.order
+        h = min_h(n)
+        D = construct_group_bh(G, find_normal_cyclic_generator(G, n // block_count(n, h)), h, m=m)
+        assert verify_group_ring(D)
+        assert verify_bh(materialize(G, D)).ok
+
+
+@pytest.mark.parametrize("spec, h", [("semidirect:8,6,5", 12), ("semidirect:27,6,10", 36),
+                                     ("semidirect:27,6,19", 36)])
+def test_group_bh_builds_where_the_canonical_deal_fails(spec, h, tmp_path):
+    m, k, _ = map(int, spec.partition(":")[2].split(","))
+    out = str(tmp_path / "g.bh")
+    assert main(["construct", "group", "--order", str(m * k), "--h", str(h), "--group", spec, "--out", out]) == 0
+    assert main(["verify", out]) == 0
+
+
+def test_coset_actions_of_the_dihedral_group():
+    D4 = make_semidirect(4, 2, 3)  # (i, j) has index 2i + j; b = (0, 1) inverts a = (1, 0)
+    sub = cyclic_subgroup(D4, 2)
+    assert coset_actions(D4, sub, coset_reps(D4, sub)).tolist() == [1, 3]
+
+
+def test_deal_blocks_keeps_the_canonical_deal_where_it_works():
+    assert deal_blocks([1] * 6, 6) == list(range(6))
+    assert deal_blocks([1, 3, 1, 3], 4) == [0, 1, 2, 3]  # the products 0, 3, 2, 1
+
+
+def test_deal_blocks_makes_the_products_distinct():
+    t = [1, 1, 7, 7]  # semidirect:8,6,5 acts so; the deal 0, 1, 2, 3 has 1 * 1 = 7 * 3 mod 4
+    deal = deal_blocks(t, 4)
+    assert sorted(deal) == [0, 1, 2, 3]
+    assert len({u * i % 4 for u, i in zip(t, deal)}) == 4
+    t = [1, 1, 1, 4, 4, 4, 7, 7, 7]
+    deal = deal_blocks(t, 9)
+    assert sorted(deal) == list(range(9))
+    assert len({u * i % 9 for u, i in zip(t, deal)}) == 9
+
+
+def test_deal_blocks_refuses_where_no_set_is_closed():
+    # x -> 2x mod 5 has the orbits {0} and {1, 2, 3, 4}, so no two blocks suit the two cosets with t = 2
+    with pytest.raises(UnsupportedAction):
+        deal_blocks([1, 1, 1, 2, 2], 5)
 
 
 # --- partitions -------------------------------------------------------------

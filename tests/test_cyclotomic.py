@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +263,26 @@ def test_zero_rows_falls_back_to_python_ints(monkeypatch):
     assert zero_rows(huge).tolist() == [True]
     assert reduce_rows(np.array([[2**70, 0, 0]], dtype=object)).tolist() == [[2**70, 0]]
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("call", [
+    "cyclotomic._totient = lambda h: 0; cyclotomic.cyclotomic_poly(6)",  # x^6 - 1 over Phi_1 Phi_2 Phi_3 has degree 2
+    "cyclotomic._poly_divmod_monic([1, 0, 1], [1, 2])",  # 2x + 1 is not monic
+], ids=["exact-division", "monic"])
+def test_cyclotomic_checks_survive_python_O(call):
+    code = textwrap.dedent("""
+        import sys
+        from butson import cyclotomic
+        from butson.errors import SelfCheckFailed
+
+        assert sys.flags.optimize, "asserts are on"
+        try:
+            {call}
+        except SelfCheckFailed:
+            sys.exit(0)
+        sys.exit(1)
+    """).format(call=call)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -70,23 +70,24 @@ def test_every_exported_name_resolves():
     assert out == ["True", "True", "AttributeError"]
 
 
-# butson modules each command loads beyond cli and errors, and whether it loads json
+# butson modules each command loads beyond cli and errors, whether it loads json,
+# and whether it loads numpy: only commands that build or reduce arrays do
 _COMMON = {"cli", "errors"}
 _MATRIX = _COMMON | {"fileio", "groups", "verify", "cyclotomic"}
 _COMMANDS = {
     "ring-info": (["ring-info", "--family", "galois", "--p", "2", "--d", "1", "--n", "1"],
-                  _COMMON | {"rings", "cyclotomic"}, False),
-    "solve-sum": (["solve-sum", "--length", "3", "--order", "3"], _COMMON | {"sums", "cyclotomic"}, False),
-    "verify": (["verify", "{bh}"], _MATRIX, False),
-    "verify-json": (["verify", "{bh}", "--format", "json"], _MATRIX, True),
+                  _COMMON | {"rings", "cyclotomic"}, False, False),
+    "solve-sum": (["solve-sum", "--length", "3", "--order", "3"], _COMMON | {"sums", "cyclotomic"}, False, False),
+    "verify": (["verify", "{bh}"], _MATRIX, False, True),
+    "verify-json": (["verify", "{bh}", "--format", "json"], _MATRIX, True, True),
     "construct-group": (["construct", "group", "--order", "4", "--h", "4", "--out", "{tmp}/g.bh"],
-                        _MATRIX | {"construct"}, False),
+                        _MATRIX | {"construct"}, False, True),
     "construct-local-partition": (
         ["construct", "local-partition", "--family", "galois", "--p", "2", "--d", "1", "--n", "2",
          "--t", "1", "--h", "2", "--out", "{tmp}/p.bh"],
-        _MATRIX | {"construct", "rings", "sums"}, False),
-    "export-array": (["export-array", "{bh}", "--out", "{tmp}/x.arr"], _MATRIX | {"arrays"}, False),
-    "verify-array": (["verify-array", "{arr}"], _MATRIX | {"arrays"}, False),
+        _MATRIX | {"construct", "rings", "sums"}, False, True),
+    "export-array": (["export-array", "{bh}", "--out", "{tmp}/x.arr"], _MATRIX | {"arrays"}, False, True),
+    "verify-array": (["verify-array", "{arr}"], _MATRIX | {"arrays"}, False, True),
 }
 
 
@@ -104,14 +105,32 @@ def files(tmp_path_factory):
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_each_command_imports_only_the_modules_it_runs(command, files):
-    argv, modules, loads_json = _COMMANDS[command]
+    argv, modules, loads_json, loads_numpy = _COMMANDS[command]
     argv = [a.format(**files) for a in argv]
     out = python(
         "import sys\n"
         "from butson.cli import main\n"
         f"code = main({argv!r})\n"
-        "print('RESULT', code, 'json' in sys.modules, *sorted(m for m in sys.modules if m.startswith('butson.')))"
+        "print('RESULT', code, 'json' in sys.modules, 'numpy' in sys.modules,"
+        " *sorted(m for m in sys.modules if m.startswith('butson.')))"
     )
     result = out[out.index("RESULT") + 1:]
-    assert result[:2] == ["0", str(loads_json)]
-    assert set(result[2:]) == {f"butson.{m}" for m in modules}
+    assert result[:3] == ["0", str(loads_json), str(loads_numpy)]
+    assert set(result[3:]) == {f"butson.{m}" for m in modules}
+
+
+def test_main_freezes_the_collector_only_for_the_process_command_line():
+    argv = _COMMANDS["ring-info"][0]
+    out = python(
+        "import gc, sys\n"
+        "from butson.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('RESULT', code, gc.get_freeze_count())\n"
+        f"sys.argv = ['butson', *{argv!r}]\n"
+        "code = main()\n"
+        "print('RESULT', code, gc.get_freeze_count() > 0)"
+    )
+    first = out.index("RESULT")
+    second = out.index("RESULT", first + 1)
+    assert out[first + 1:first + 3] == ["0", "0"]
+    assert out[second + 1:] == ["0", "True"]

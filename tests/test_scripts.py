@@ -36,7 +36,7 @@ def test_coldstart_compares_one_round():
     proc = run_script("coldstart.py", src, src, "--rounds", "1", "--importtime")
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
-    assert "butson: butson.errors butson.cli butson.cyclotomic butson.rings" in out
+    assert "numpy: no; butson: butson.errors butson.cli butson.cyclotomic butson.rings" in out
     assert "exit codes: old [0], new [0]" in out
     assert out.count("pairs, slower in") == 2  # wall and cpu of the default command
 
