@@ -10,10 +10,13 @@ The ring grid is both ring families with p in {2, 3, 5}, d and n in
 unseeded and with --seed 7.
 
 The group grid, up to order --max-order (0, the default, skips it), is every
-`cyclic:n` and every `abelian:` list of non-decreasing factors > 1, in
-invariant-factor form or not, each with h = min_h(n) and 2 min_h(n).  Each
-gets `construct group` to stdout and, after exit 0, `verify` of that
-matrix, `export-array` (the digest is that of the written .arr),
+`cyclic:n`, every `abelian:` list of non-decreasing factors > 1, in
+invariant-factor form or not, and every valid `semidirect:m,k,t` with k >= 2
+(0 <= t < m, gcd(t, m) = 1, t^k = 1 mod m), each with h = min_h(n) and
+2 min_h(n); the semidirect groups run with the multiplier 1 and, where
+gcd(5, n) = 1, also with --m 5.  Each gets `construct group` to stdout and,
+after exit 0, `verify` of that matrix, `export-array` (the digest is that of
+the written .arr; a semidirect group exits 2 there and stops),
 `verify-array`, and `verify-array` of a copy with one seeded entry shifted.
 
 Every call runs `butson.cli.main` in this process and prints one
@@ -30,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import random
 import shlex
@@ -77,11 +81,16 @@ def factor_lists(order: int, least: int = 2):
 
 
 def groups(max_order: int):
-    """The group descriptors of the census, by order, cyclic first."""
+    """The group descriptors of the census, by order: cyclic, abelian, then semidirect."""
     for n in range(1, max_order + 1):
         yield n, f"cyclic:{n}"
         for factors in factor_lists(n):
             yield n, "abelian:" + ",".join(map(str, factors))
+        for k in (k for k in range(2, n + 1) if n % k == 0):
+            m = n // k
+            for t in range(m):
+                if math.gcd(t, m) == 1 and pow(t, k, m) == 1 % m:
+                    yield n, f"semidirect:{m},{k},{t}"
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -109,9 +118,10 @@ def report(argv: list[str], written: str | None = None) -> tuple[int, str]:
     return code, out
 
 
-def group_case(n: int, spec: str, h: int) -> None:
+def group_case(n: int, spec: str, h: int, m: int = 1) -> None:
     """`construct group` over spec; after exit 0, the checks of its matrix and array."""
-    code, out = report(["construct", "group", "--order", str(n), "--h", str(h), "--group", spec])
+    multiplier = ["--m", str(m)] if m != 1 else []
+    code, out = report(["construct", "group", "--order", str(n), "--h", str(h), "--group", spec, *multiplier])
     if code != 0:
         return
     Path("g.bh").write_text(out)
@@ -139,8 +149,11 @@ def main() -> None:
         os.chdir(tmp)  # the group grid's files have the same short names in every run
         try:
             for n, spec in groups(args.max_order):
-                for h in (min_h(n), 2 * min_h(n)):
-                    group_case(n, spec, h)
+                # semidirect groups also run with the multiplier 5 where it is coprime to n
+                multipliers = (1, 5) if spec.startswith("semidirect:") and math.gcd(5, n) == 1 else (1,)
+                for m in multipliers:
+                    for h in (min_h(n), 2 * min_h(n)):
+                        group_case(n, spec, h, m)
         finally:
             os.chdir(home)
 

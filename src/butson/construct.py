@@ -337,11 +337,13 @@ def construct_partition_bh(
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
     G, _ = ring_square_group(R)  # refuses a too-large R x R first
-    parts = partition_R(R, t, seed=seed)
-    part_of = {x: i for i, part in enumerate(parts) for x in part}
-    # element (x, y) has index idx(x) |R| + idx(y), and R lists in index order
-    exps = [etas[part_of[R.mul(fx, y)]] for fx in map(R.phi, R.elements) for y in R.elements]
-    return _self_checked(Unimodular(G, h, exps))
+    part_of = np.zeros(R.size, dtype=np.intp)
+    for i, part in enumerate(partition_R(R, t, seed=seed)):
+        part_of[[R.index[x] for x in part]] = i
+    phi_idx = [R.index[R.phi(x)] for x in R.elements]
+    # row x of the gather holds phi(x) y for every y: the entries (x, y), at idx(x) |R| + idx(y)
+    e = np.array(etas)[part_of[R.mul_table[phi_idx]]]
+    return _self_checked(Unimodular(G, h, e))
 
 
 # -- construction 3: line family over R x R ----------------------------------
@@ -392,6 +394,7 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
 
     if R.n < 2:
         raise UnsupportedRing("the line-family construction needs chain length >= 2")
+    ring_square_group(R)  # refuses a too-large R x R before the coset chain builds R's product table
     n, q = R.n, R.p**R.d
     chain = R.coset_chain()
     r1 = chain[1]
@@ -493,13 +496,14 @@ def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> Unimodular:
     """BH element over (R x R, +) from the weighted line family."""
     h = scheme.h
     G, pair_index = ring_square_group(R)
-    hist = np.zeros((G.order, h), dtype=np.int64)
-    for r, e in scheme.eta_r.items():
-        for x in R.elements:
-            hist[pair_index(x, R.mul(x, r)), e % h] += 1
-    for s, e in scheme.mu_s.items():
-        for x in R.elements:
-            hist[pair_index(R.mul(x, s), x), e % h] += 1
+    n, T = R.size, R.mul_table
+    x = np.arange(n)[:, None]
+    I = [R.index[r] for r in scheme.eta_r]
+    J = [R.index[s] for s in scheme.mu_s]
+    # column r of the product table holds x r for every x: the cells (x, x r), then (x s, x)
+    cells = np.concatenate([x * n + T[:, I], T[:, J] * n + x], axis=1)
+    roots = np.array([*scheme.eta_r.values(), *scheme.mu_s.values()]) % h
+    hist = np.bincount((cells * h + roots).ravel(), minlength=G.order * h).reshape(G.order, h)
     exps = _collapse_to_roots(hist)
     if exps[pair_index(R.zero, R.zero)] != scheme.eta:
         raise SchemeViolation("coefficient of (0,0) does not equal eta")

@@ -14,31 +14,22 @@ element of F_{p^d}, one block after the other, with q = p.  All arithmetic
 is exact.  `elements` lists the tuples in row-major order over
 `additive_factors`, so `index` is also the element index of
 make_abelian(additive_factors).
+
+Multiplication is bilinear over Z_q, so c^3 structure constants fix it
+(c = len(additive_factors)): coordinates x^i u^a and x^j u^b multiply to
+(x^(i+j) mod (f, q)) u^(a+b), or to 0 once a + b reaches the block count (1
+for galois, n for truncated).  `mul_table`, the (|R|, |R|) table of product
+indices built from those constants, is the one multiplication that `mul`,
+`unit_inverse` and constructions 2 and 3 read.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .cyclotomic import _poly_divmod_monic
-from .errors import NotAUnit, SelfCheckFailed, UnsupportedRing, _physical_memory
-
-
-def _poly_mod_mul(a, b, modulus, p):
-    """Multiply polynomials over Z_p and reduce by the monic modulus."""
-    d = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            for i in range(d + 1):
-                out[k - d + i] = (out[k - d + i] - c * modulus[i]) % p
-    out = out[:d] + [0] * max(0, d - len(out))
-    return tuple(out)
+from .errors import NotAUnit, SelfCheckFailed, UnsupportedRing, _check_fits, _physical_memory
 
 
 def _has_root_free_factor(poly, p, degree):
@@ -97,8 +88,6 @@ class ChainRing:
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = self.elements[0]
         self.one = (1,) + self.zero[1:]
-        self._inv_cache: dict = {}
-        self._unit_count = self.size - p ** (d * (n - 1))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -108,22 +97,37 @@ class ChainRing:
     def neg(self, x):
         return tuple((-a) % self.q for a in x)
 
+    @cached_property
+    def mul_table(self):
+        """Read-only (|R|, |R|) array of the index of elements[i] * elements[j]."""
+        import numpy as np
+
+        _check_fits(self.size, f"the product table of {self.describe()}")
+        d, q, c = self.d, self.q, len(self.additive_factors)
+        # x^k mod (f, q) for k < 2d - 1: the products of two coordinates of a block
+        powers = np.zeros((2 * d - 1, d), dtype=np.int64)
+        for k in range(2 * d - 1):
+            rem = _poly_divmod_monic([0] * k + [1], list(self.modulus))[1]
+            powers[k, : len(rem)] = rem
+        block = powers[np.add.outer(range(d), range(d))] % q  # x^i x^j
+        # C[a, b, k]: coordinate k of e_a e_b, e_a the a-th unit coordinate vector;
+        # the blocks a // d and b // d (powers of u) convolve, cut off at the last block
+        C = np.zeros((c, c, c), dtype=np.int64)
+        for i, j in product(range(0, c, d), repeat=2):
+            if i + j < c:
+                C[i : i + d, j : j + d, i + j : i + j + d] = block
+        X = np.array(self.elements, dtype=np.int64)
+        table = np.zeros((self.size, self.size), dtype=np.intp)
+        for k in range(c):  # row-major index: one coordinate of every product at a time
+            coord = (X @ C[:, :, k] % q) @ X.T
+            coord %= q
+            table *= q
+            table += coord
+        table.flags.writeable = False
+        return table
+
     def mul(self, x, y):
-        if self.family == "galois":
-            return _poly_mod_mul(x, y, self.modulus, self.q)
-        # convolution in u of the n blocks of d coordinates (elements of
-        # F_{p^d}), truncated at u^n; i and j are the offsets of the blocks
-        d, p, k = self.d, self.p, len(x)
-        xs = [(i, x[i:i + d]) for i in range(0, k, d) if any(x[i:i + d])]
-        ys = [(j, y[j:j + d]) for j in range(0, k, d) if any(y[j:j + d])]
-        out = [0] * k
-        for i, cx in xs:
-            for j, cy in ys:
-                if i + j >= k:
-                    break
-                for m, c in enumerate(_poly_mod_mul(cx, cy, self.modulus, p), i + j):
-                    out[m] = (out[m] + c) % p
-        return tuple(out)
+        return self.elements[self.mul_table.item(self.index[x], self.index[y])]
 
     def pow_pi(self, k: int):
         out = self.one
@@ -137,19 +141,10 @@ class ChainRing:
     def unit_inverse(self, x):
         if not self.is_unit(x):
             raise NotAUnit(f"{x} is not a unit")
-        if x in self._inv_cache:
-            return self._inv_cache[x]
-        # units form a group of order |R| - |I|, so x^(count-1) inverts x
-        inv, base, e = self.one, x, self._unit_count - 1
-        while e:
-            if e & 1:
-                inv = self.mul(inv, base)
-            base = self.mul(base, base)
-            e >>= 1
-        if self.mul(x, inv) != self.one:
-            raise SelfCheckFailed(f"{inv} does not invert {x} in {self.describe()}")
-        self._inv_cache[x] = inv
-        return inv
+        hits = (self.mul_table[self.index[x]] == self.index[self.one]).nonzero()[0]
+        if len(hits) != 1:
+            raise SelfCheckFailed(f"{x} has {len(hits)} inverses in {self.describe()}")
+        return self.elements[hits[0]]
 
     # -- chain structure ---------------------------------------------------
 

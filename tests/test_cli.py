@@ -327,6 +327,38 @@ def test_ring_info_lists_rings_whose_square_has_no_table(capsys):
     assert json.loads(capsys.readouterr().out)["order"] == 256
 
 
+@pytest.fixture
+def product_tables_built(monkeypatch):
+    """The rings whose product table was computed while the fixture was active."""
+    built = []
+    build = ChainRing.__dict__["mul_table"].func
+    monkeypatch.setattr(ChainRing, "mul_table", property(lambda R: built.append(R.describe()) or build(R)))
+    return built
+
+
+@pytest.mark.parametrize("construction", [["local-lines"], ["local-partition", "--t", "1"]])
+def test_oversized_ring_square_is_refused_before_any_product_table(construction, monkeypatch, capsys,
+                                                                   product_tables_built):
+    # R x R of order 256 has no room for its Cayley table; R's own 16 x 16 table would fit
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 256 * 256 * 8 - 1)
+    ring = ["--family", "galois", "--p", "2", "--d", "2", "--n", "2"]
+    assert run("construct", construction[0], *ring, *construction[1:], "--h", "6") == 2
+    assert capsys.readouterr().err == (
+        "error: TooLarge: the Cayley table of abelian 4,4,4,4 (order 256) would not fit in physical memory\n"
+    )
+    assert product_tables_built == []
+
+
+def test_ring_info_builds_no_product_table(monkeypatch, capsys, product_tables_built):
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * 16 * 8 - 1)
+    R = chain_ring("galois", 2, 2, 2)
+    with pytest.raises(errors.TooLarge, match=r"product table of GR\(2\^2, 2\)"):
+        R.mul_table
+    assert run("ring-info", "--family", "galois", "--p", "2", "--d", "2", "--n", "2") == 0
+    assert "order:         16" in capsys.readouterr().out
+    assert product_tables_built == ["GR(2^2, 2)"]  # the direct read above, nothing after it
+
+
 @pytest.mark.parametrize("argv", [
     # Cayley tables of 80 PB and 6.5 EB, a ring of 10^15 elements, and
     # R x R of order 2^28 over a ring of 2^14 elements

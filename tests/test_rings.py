@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import subprocess
@@ -11,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from sympy import Poly, symbols
 
 from butson.errors import ButsonError, UnsupportedRing
 from butson.groups import abelian_index, make_abelian
@@ -130,6 +132,46 @@ def test_elements_are_flat_coordinate_tuples(ring):
         assert ring.index[x] == abelian_index(G, x)
 
 
+def _polynomial_product(R):
+    """R's product computed with sympy polynomials, apart from the product table."""
+    X = symbols("x")
+    f = Poly(list(reversed(R.modulus)), X)
+
+    @functools.lru_cache(maxsize=None)  # truncated rings repeat their blocks
+    def mul_mod_f(a, b, q):  # coefficient tuples in x, low degree first
+        c = (Poly(list(reversed(a)), X) * Poly(list(reversed(b)), X)).rem(f).all_coeffs()
+        c = [int(v) % q for v in reversed(c)]
+        return c + [0] * (R.d - len(c))
+
+    if R.family == "galois":  # reduce mod f over Z, then each coefficient mod q
+        return lambda a, b: tuple(mul_mod_f(a, b, R.q))
+
+    def truncated(a, b):  # u-blocks of d coordinates, each an element of F_p[x]/(f)
+        d, n = R.d, R.n
+        out = [[0] * d for _ in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            if i + j < n:  # u^(i + j); u^n = 0
+                prod = mul_mod_f(a[i * d:(i + 1) * d], b[j * d:(j + 1) * d], R.p)
+                out[i + j] = [(s + t) % R.p for s, t in zip(out[i + j], prod)]
+        return tuple(itertools.chain(*out))
+
+    return truncated
+
+
+@pytest.mark.parametrize("spec", SMALL_RINGS + [
+    ("galois", 3, 2, 2),      # GR(9, 2), a quadratic modulus over Z9
+    ("truncated", 2, 3, 2),   # F8[u]/(u^2), a cubic modulus
+    ("truncated", 2, 2, 3),   # F4[u]/(u^3), three u-blocks
+], ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}-{s[3]}")
+def test_mul_table_matches_polynomial_arithmetic(spec):
+    R = chain_ring(*spec)
+    product = _polynomial_product(R)
+    table = R.mul_table
+    assert table.shape == (R.size, R.size) and not table.flags.writeable
+    for i, x in enumerate(R.elements):
+        assert table[i].tolist() == [R.index[product(x, y)] for y in R.elements], x
+
+
 def test_ring_self_checks_survive_python_O():
     code = textwrap.dedent("""
         import sys
@@ -139,10 +181,12 @@ def test_ring_self_checks_survive_python_O():
         assert sys.flags.optimize, "asserts are on"
         for spec in [("galois", 3, 1, 2), ("truncated", 2, 2, 2)]:
             R = chain_ring(*spec)
-            R._unit_count += 1  # x^(count - 1) no longer inverts x
+            table = R.mul_table.copy()
+            table[table == R.index[R.one]] = R.index[R.zero]  # no unit has an inverse
+            R.__dict__["mul_table"] = table
             try:
                 [R.phi(x) for x in R.elements]
-                sys.exit(f"phi of {spec} passed with a wrong unit count")
+                sys.exit(f"phi of {spec} passed with a product table that holds no one")
             except SelfCheckFailed:
                 pass
             R = chain_ring(*spec)

@@ -60,3 +60,17 @@ def test_census_of_small_abelian_groups():
     # the valid matrix and its array verify; a shifted entry may or may not break the array
     assert all(row[1] == "0" for row in rows if row[0] in ("verify g.bh", "verify-array g.arr"))
     assert {row[1] for row in rows if row[0] == "verify-array m.arr"} == {"0", "1"}
+
+
+def test_census_of_small_semidirect_groups():
+    proc = run_script("census.py", "--max-square", "0", "--max-order", "24")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    constructs = [row for row in rows if row[0].startswith("construct group") and "semidirect:" in row[0]]
+    assert {"construct group --order 8 --h 4 --group semidirect:4,2,3",
+            "construct group --order 8 --h 4 --group semidirect:4,2,3 --m 5"} <= {row[0] for row in constructs}
+    assert not any("--m 5" in row[0] and "--order 10 " in row[0] for row in constructs)  # gcd(5, 10) = 5
+    assert {row[1] for row in constructs} <= {"0", "2"}, [row for row in constructs if row[1] not in ("0", "2")]
+    # each matrix a construct wrote verifies
+    checked = [row for prev, row in zip(rows, rows[1:]) if prev in constructs and prev[1] == "0"]
+    assert checked and all(row[0] == "verify g.bh" and row[1] == "0" for row in checked)
