@@ -11,7 +11,10 @@ command once on each side, and the side that runs first alternates from
 round to round.  Wall and CPU (user + sys) time come from `os.wait4`, for the
 child alone.  For each command the script prints each side's median and
 quartiles in ms, and in how many pairs NEW_SRC was faster (ties count for
-neither side).  With --importtime it first runs each command once more per
+neither side).  Each round also times the bare interpreter (`python -c
+pass`, with the same flags and environment), and the report ends with its
+median and quartiles as one row: the floor no change to the package can go
+below.  With --importtime it first runs each command once more per
 side under `python -X importtime` and prints whether it imported numpy, the
 butson modules it imported, in order, and the number and total self time of
 all modules imported.
@@ -31,15 +34,16 @@ import time
 from pathlib import Path
 
 CLI = ["-c", "import sys; from butson.cli import main; sys.exit(main())"]
+BARE = ["-c", "pass"]
 TRIVIAL = "ring-info --family galois --p 2 --d 1 --n 1"
 IMPORT_LINE = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| *(\S+)")
 
 
-def run(src: Path, argv: list[str], *flags: str) -> tuple[int, float, float, str]:
-    """Exit code, wall s, CPU s and stderr of one CLI call in a fresh interpreter."""
+def run(src: Path, args: list[str], *flags: str) -> tuple[int, float, float, str]:
+    """Exit code, wall s, CPU s and stderr of `python *flags *args` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *flags, *CLI, *argv], env=env, stdin=subprocess.DEVNULL,
+    proc = subprocess.Popen([sys.executable, *flags, *args], env=env, stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     err = proc.stderr.read()
     _, status, ru = os.wait4(proc.pid, 0)
@@ -51,7 +55,7 @@ def run(src: Path, argv: list[str], *flags: str) -> tuple[int, float, float, str
 
 def import_report(src: Path, argv: list[str]) -> str:
     """Whether one call imports numpy, the butson modules it imports, in order, and totals over all its imports."""
-    _, _, _, err = run(src, argv, "-X", "importtime")
+    _, _, _, err = run(src, [*CLI, *argv], "-X", "importtime")
     found = [IMPORT_LINE.match(line) for line in err.splitlines()]
     found = [m for m in found if m]
     own = [m[2] for m in found if m[2].startswith("butson.")]
@@ -95,14 +99,18 @@ def main() -> int:
     # times[command][side] = ([wall s], [cpu s]); codes collects every exit code
     times = [{side: ([], []) for side in sides} for _ in commands]
     codes = [{side: set() for side in sides} for _ in commands]
+    bare = ([], [])  # wall s, cpu s of `python -c pass`
     for r in range(args.rounds):
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for i, argv in enumerate(commands):
             for side in order:
-                code, wall, cpu, _ = run(sides[side], argv)
+                code, wall, cpu, _ = run(sides[side], [*CLI, *argv])
                 times[i][side][0].append(wall)
                 times[i][side][1].append(cpu)
                 codes[i][side].add(code)
+        _, wall, cpu, _ = run(sides["new"], BARE)
+        bare[0].append(wall)
+        bare[1].append(cpu)
 
     for i, argv in enumerate(commands):
         print(f"$ butson {shlex.join(argv)}")
@@ -118,6 +126,9 @@ def main() -> int:
             gain, spread = stats["old"][1] - stats["new"][1], stats["old"][2] - stats["old"][0]
             print(f"  {name:<4} new faster in {wins} of {len(old)} pairs, slower in {losses};"
                   f" median gain {gain:.1f} ms, old quartile spread {spread:.1f} ms")
+    (w1, w2, w3), (c1, c2, c3) = (tuple(1000.0 * q for q in quartiles(xs)) for xs in bare)
+    print(f"floor ({shlex.join(['python', *BARE])}): wall median {w2:.1f} ms quartiles {w1:.1f} {w3:.1f};"
+          f" cpu median {c2:.1f} ms quartiles {c1:.1f} {c3:.1f}")
     return 0
 
 

@@ -1,19 +1,23 @@
 """Command-line frontend: construct, verify, and export in batch runs.
 
-Each command is one short process, so start-up is most of its cost at
-small orders.  A handler imports the modules it runs when it runs, and
-`json` only where it prints JSON: `ring-info` loads `rings` but not
-`groups`, `verify` loads no construction, ring or array code, and
-`construct group` no ring or sum code.  numpy is imported only by the
-modules and kernels that build arrays, so `ring-info` and `solve-sum` never
-load it.  Where Python writes no bytecode cache, every module a command
-imports is also compiled again on each call.
+Each command is one short process, so start-up and exit are most of its
+cost at small orders.  A handler imports the modules it runs when it runs,
+`json` only where it prints JSON and `pathlib` only where it names a path:
+`ring-info` loads `rings` and `poly` but not `cyclotomic` or `groups`,
+`verify` loads no construction, ring or array code, and `construct group`
+no ring or sum code.  numpy is imported only by the modules and kernels that
+build arrays, so `ring-info` and `solve-sum` never load it.  Where Python
+writes no bytecode cache, every module a command imports is also compiled
+again on each call.
 
-When `main` reads the process's own command line, it freezes the objects
-alive at its return (`gc.freeze`), so the collection at interpreter exit
-does not walk numpy's objects; atexit handlers, flushing and the exit code
-are unchanged.  In-process callers pass `argv` and keep their collector as
-it was.
+When `main` reads the process's own command line, it ends the process
+itself.  It freezes the objects alive at that point (`gc.freeze`), runs the
+atexit handlers, flushes stdout and stderr, and leaves by `os._exit` with
+the command's exit code, so the interpreter does not tear down numpy's
+objects and modules one by one.  If a flush fails, `main` returns the code
+instead and Python's normal shutdown reports the failure as it would have.
+Usage errors and `--help` exit through argparse as before.  In-process
+callers pass `argv`, get the code back and keep their collector as it was.
 
 numpy runs with one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
 """
@@ -27,9 +31,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import atexit
 import gc
 import sys
-from pathlib import Path
 
 from .errors import ButsonError, SelfCheckFailed
 
@@ -108,6 +112,15 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output matrix file (default stdout)")
 
 
+def _write_out(path: str, text: str) -> None:
+    from pathlib import Path
+
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ButsonError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_matrix(args, D) -> int:
     from . import fileio
     from .verify import materialize
@@ -115,13 +128,15 @@ def _emit_matrix(args, D) -> int:
     # constructors check D D^(-1) = |G|: verify_bh's test of this matrix's column 0
     text = fileio.format_matrix(materialize(D.group, D))
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_construct_group(args) -> int:
+    from pathlib import Path
+
     from . import construct, fileio
 
     spec = args.group or f"cyclic:{args.order}"
@@ -189,7 +204,7 @@ def _cmd_export_array(args) -> int:
         return EXIT_VERIFY_FAILED
     # the coefficient of g is the matrix entry at (g, identity)
     D = Unimodular(M.group, M.h, M.E[:, 0])
-    Path(args.out).write_text(fileio.format_array(arrays.to_array(D)))
+    _write_out(args.out, fileio.format_array(arrays.to_array(D)))
     return EXIT_OK
 
 
@@ -264,16 +279,38 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[(args.command, getattr(args, "construction", None))]
     try:
-        return handler(args)
+        code = handler(args)
     except SelfCheckFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        code = EXIT_VERIFY_FAILED
     except ButsonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        code = EXIT_BAD_PARAMS
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: no check ran, so none failed
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        code = EXIT_BAD_PARAMS
     finally:
         if argv is None:  # the process ends next: spare its exit collection every live object
             gc.freeze()
+    if argv is None:
+        _end_process(code)
+    return code
+
+
+def _end_process(code: int) -> None:
+    """End the process with `code`, skipping interpreter teardown; return only if a flush fails.
+
+    The steps are those of a normal shutdown, in its order: atexit handlers,
+    then the flush of stdout and stderr.  The CLI starts no Python threads,
+    so there are none to wait for.
+    """
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # any failure: the normal shutdown flushes again and reports it
+        return
+    os._exit(code)
 
 
 if __name__ == "__main__":

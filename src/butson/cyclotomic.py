@@ -10,7 +10,8 @@ as `hist @ reduction_matrix(h)`, whose row j holds x^j mod Phi_h.  It runs in
 int64 only when max_row sum|c_j| * max|Rm| < 2^62, which bounds every partial
 sum of the product, and otherwise in Python ints, so it is exact either way.
 numpy is imported by the three functions that build or reduce arrays, so
-`CycInt`, `is_zero` and the polynomial helpers load without it.
+`CycInt` and `is_zero` load without it.  `is_zero` and `cyclotomic_poly`
+divide with the helpers in `poly`, which `rings` shares.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import NotOdd, OrderMismatch, SelfCheckFailed
+from .poly import _poly_divmod_monic, _poly_mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,42 +114,6 @@ class CycInt:
                 return None
             found = j
         return found
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of p by the monic polynomial d, exact over Z."""
-    if not d or d[-1] != 1:
-        raise SelfCheckFailed(f"the divisor {d!r} is not monic")
-    r = list(p)
-    dd = len(d) - 1
-    q = [0] * max(len(r) - dd, 0)
-    while len(r) > dd:
-        c = r.pop()
-        if c == 0:
-            continue
-        off = len(r) - dd
-        q[off] = c
-        for i in range(dd):
-            r[off + i] -= c * d[i]
-    return _poly_trim(q), _poly_trim(r)
 
 
 def _totient(h: int) -> int:

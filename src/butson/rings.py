@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .cyclotomic import _poly_divmod_monic
+from .poly import _poly_divmod_monic
 from .errors import NotAUnit, SelfCheckFailed, UnsupportedRing, _check_fits, _physical_memory
 
 

@@ -392,3 +392,35 @@ def test_export_array_beyond_numpy_axes_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: InvalidParams:") and "64 axes" in proc.stderr, proc.stderr
     assert not (tmp_path / "z.arr").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "group", "--order", "8", "--h", "4"],
+    ["construct", "local-partition", "--family", "galois", "--p", "2", "--d", "1", "--n", "2", "--t", "1", "--h", "2"],
+    ["construct", "local-lines", "--family", "galois", "--p", "3", "--d", "1", "--n", "2", "--h", "6"],
+    ["export-array", "{bh}"],
+])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    bh = tmp_path / "c4.bh"
+    assert run("construct", "group", "--order", "4", "--h", "4", "--out", str(bh)) == 0
+    target = tmp_path / "missing" / "x.out"
+    assert run(*(a.format(bh=bh) for a in argv), "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ButsonError: cannot write {target}: No such file or directory\n"
+    assert captured.out == ""
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    def exhausted(*args):
+        # 1 EiB exceeds any address space, so this fails at once with numpy's _ArrayMemoryError
+        np.empty(2**60, dtype=np.uint8)
+
+    monkeypatch.setattr(verify, "materialize", exhausted)
+    assert run("construct", "group", "--order", "4", "--h", "4") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: MemoryError: Unable to allocate") and "Traceback" not in captured.err
+    monkeypatch.setattr(verify, "materialize", lambda *args: (_ for _ in ()).throw(MemoryError()))
+    assert run("construct", "group", "--order", "4", "--h", "4") == 2
+    assert capsys.readouterr().err == "error: MemoryError: out of memory\n"

@@ -1,4 +1,4 @@
-"""What importing the package and its CLI does to the process.
+"""What importing the package and running its CLI do to the process.
 
 Each check runs in a fresh interpreter whose environment has no
 OPENBLAS_NUM_THREADS, so no import made by the test session is seen.
@@ -14,15 +14,27 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-LIBRARY = ["arrays", "construct", "cyclotomic", "errors", "fileio", "groups", "rings", "sums", "verify"]
+LIBRARY = ["arrays", "construct", "cyclotomic", "errors", "fileio", "groups", "poly", "rings", "sums", "verify"]
+# how the console script and the bench call the CLI: main() reads sys.argv and ends the process
+CLI = "import sys; from butson.cli import main; sys.exit(main())"
 
 
-def python(code: str, **env: str) -> list[str]:
-    """Whitespace-split stdout of `python -c code` run without OPENBLAS_NUM_THREADS unless given."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def environment(unset=(), **env: str) -> dict[str, str]:
+    """This environment with `src` on PYTHONPATH, without OPENBLAS_NUM_THREADS or the variables in `unset`."""
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", *unset)}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+    return {**base, **env}
+
+
+def spawn(code: str, *args: str, flags=(), unset=(), **env: str) -> subprocess.CompletedProcess:
+    """`python *flags -c code *args` in `environment(unset, **env)`."""
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=environment(unset, **env),
                           capture_output=True, text=True, timeout=60)
+
+
+def python(code: str, flags=(), **env: str) -> list[str]:
+    """Whitespace-split stdout of `spawn(code)`, which must exit 0."""
+    proc = spawn(code, flags=flags, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -73,11 +85,12 @@ def test_every_exported_name_resolves():
 # butson modules each command loads beyond cli and errors, whether it loads json,
 # and whether it loads numpy: only commands that build or reduce arrays do
 _COMMON = {"cli", "errors"}
-_MATRIX = _COMMON | {"fileio", "groups", "verify", "cyclotomic"}
+_MATRIX = _COMMON | {"fileio", "groups", "verify", "cyclotomic", "poly"}
 _COMMANDS = {
     "ring-info": (["ring-info", "--family", "galois", "--p", "2", "--d", "1", "--n", "1"],
-                  _COMMON | {"rings", "cyclotomic"}, False, False),
-    "solve-sum": (["solve-sum", "--length", "3", "--order", "3"], _COMMON | {"sums", "cyclotomic"}, False, False),
+                  _COMMON | {"rings", "poly"}, False, False),
+    "solve-sum": (["solve-sum", "--length", "3", "--order", "3"], _COMMON | {"sums", "cyclotomic", "poly"},
+                  False, False),
     "verify": (["verify", "{bh}"], _MATRIX, False, True),
     "verify-json": (["verify", "{bh}", "--format", "json"], _MATRIX, True, True),
     "construct-group": (["construct", "group", "--order", "4", "--h", "4", "--out", "{tmp}/g.bh"],
@@ -122,15 +135,90 @@ def test_each_command_imports_only_the_modules_it_runs(command, files):
 def test_main_freezes_the_collector_only_for_the_process_command_line():
     argv = _COMMANDS["ring-info"][0]
     out = python(
-        "import gc, sys\n"
+        "import atexit, gc, sys\n"
         "from butson.cli import main\n"
         f"code = main({argv!r})\n"
         "print('RESULT', code, gc.get_freeze_count())\n"
+        "atexit.register(lambda: print('RESULT', gc.get_freeze_count() > 0))\n"
         f"sys.argv = ['butson', *{argv!r}]\n"
-        "code = main()\n"
-        "print('RESULT', code, gc.get_freeze_count() > 0)"
+        "main()\n"
+        "print('main returned')"
     )
     first = out.index("RESULT")
     second = out.index("RESULT", first + 1)
     assert out[first + 1:first + 3] == ["0", "0"]
-    assert out[second + 1:] == ["0", "True"]
+    assert out[second + 1:] == ["True"]
+    assert "returned" not in out
+
+
+def test_ring_info_without_site_loads_no_cyclotomic_dataclasses_inspect_or_pathlib():
+    # -S: no .pth file or site customisation preloads any of them
+    argv = _COMMANDS["ring-info"][0]
+    out = python(
+        "import sys\n"
+        "from butson.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('RESULT', code, *sorted({'butson.cyclotomic', 'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))",
+        flags=("-S",),
+    )
+    assert out[out.index("RESULT") + 1:] == ["0"]
+
+
+@pytest.fixture(scope="module")
+def mutant(files):
+    """A copy of the order-4 matrix with one entry shifted, which `verify` rejects."""
+    path = Path(files["tmp"]) / "c4.mut.bh"
+    lines = Path(files["bh"]).read_text().splitlines()
+    row = lines[3].split()
+    row[1] = str((int(row[1]) + 1) % 4)
+    lines[3] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("expected, argv", [
+    (0, ["verify", "{bh}"]),
+    (1, ["verify", "{mutant}"]),
+    (2, ["construct", "group", "--order", "4", "--h", "3"]),
+])
+def test_process_exit_codes(expected, argv, files, mutant):
+    proc = spawn(CLI, *(a.format(mutant=mutant, **files) for a in argv))
+    assert proc.returncode == expected, proc.stderr
+    assert proc.stdout.startswith({0: "bh=True invariant=True ok", 1: "bh=", 2: ""}[expected])
+    assert proc.stderr.startswith("error: BadH:") if expected == 2 else proc.stderr == ""
+
+
+def test_atexit_handlers_run_and_their_output_arrives():
+    # buffered stdout: the handler's line must still be flushed after it runs
+    proc = spawn("import atexit; atexit.register(print, 'atexit ran')\n" + CLI,
+                 *_COMMANDS["ring-info"][0], unset=("PYTHONUNBUFFERED",))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ring:") and proc.stdout.endswith("atexit ran\n")
+    assert proc.stderr == ""
+
+
+def test_buffered_pipe_receives_the_whole_matrix(files):
+    out = Path(files["tmp"]) / "c118.bh"
+    argv = ["construct", "group", "--order", "118", "--h", "236"]
+    written = spawn(CLI, *argv, "--out", str(out))
+    piped = spawn(CLI, *argv, unset=("PYTHONUNBUFFERED",))
+    assert written.returncode == piped.returncode == 0, written.stderr + piped.stderr
+    assert len(piped.stdout) > 40_000  # several 8 KiB buffers' worth
+    assert piped.stdout == out.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered, expected", [
+    # buffered: the print succeeds and the flush at exit fails; Python's shutdown reports it
+    (False, 120),
+    # unbuffered: the print itself raises, and the OSError escapes main
+    (True, 1),
+])
+def test_full_stdout_exits_as_before(unbuffered, expected):
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", CLI, *_COMMANDS["ring-info"][0]],
+                              env=environment(("PYTHONUNBUFFERED",), **env),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == expected, proc.stderr
+    assert "OSError: [Errno 28] No space left on device" in proc.stderr

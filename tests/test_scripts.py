@@ -36,9 +36,11 @@ def test_coldstart_compares_one_round():
     proc = run_script("coldstart.py", src, src, "--rounds", "1", "--importtime")
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
-    assert "numpy: no; butson: butson.errors butson.cli butson.cyclotomic butson.rings" in out
+    assert "numpy: no; butson: butson.errors butson.cli butson.poly butson.rings" in out
     assert "exit codes: old [0], new [0]" in out
     assert out.count("pairs, slower in") == 2  # wall and cpu of the default command
+    floor = [line for line in out.splitlines() if line.startswith("floor (python -c pass): wall median ")]
+    assert len(floor) == 1 and " cpu median " in floor[0], out
 
 
 def test_census_exits_0_or_2_on_small_rings():
