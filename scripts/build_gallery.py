@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Build a small gallery of group-invariant Butson matrices and verify each
-one by all applicable routes (matrix rows, group-ring product, characters).
+one by both library routes (matrix rows, group-ring product).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from butson.construct import (
 from butson.groups import make_abelian, make_semidirect
 from butson.rings import chain_ring
 from butson.sums import zero_sum
-from butson.verify import materialize, verify_bh, verify_by_characters, verify_group_ring
+from butson.verify import materialize, verify_bh, verify_group_ring
 
 
 def report(name, D):
@@ -26,11 +26,8 @@ def report(name, D):
     t0 = time.perf_counter()
     ok_gr = verify_group_ring(D)
     rep = verify_bh(materialize(group, D))
-    ok_ch = verify_by_characters(D) if group.abelian_factors else None
     ms = (time.perf_counter() - t0) * 1000.0
-    chars = "n/a" if ok_ch is None else str(ok_ch)
-    print(f"{name:<34} order={group.order:<4} h={D.h:<3} "
-          f"rows={rep.ok} ring={ok_gr} chars={chars} ({ms:.1f} ms)")
+    print(f"{name:<34} order={group.order:<4} h={D.h:<3} rows={rep.ok} ring={ok_gr} ({ms:.1f} ms)")
 
 
 def main() -> None:

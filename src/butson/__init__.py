@@ -6,11 +6,11 @@ The names in ``__all__`` are imported from their submodules on first access
 
 # submodule -> the names it exports here
 _EXPORTS = {
-    "cyclotomic": ("CycInt", "cyclotomic_poly", "equals_integer", "gauss_sum", "is_zero", "norm_sq"),
+    "cyclotomic": ("CycInt", "cyclotomic_poly", "is_zero"),
     "groups": ("FiniteGroup", "GroupRingElt", "Unimodular", "make_abelian", "make_cyclic", "make_from_table", "make_semidirect"),
     "rings": ("ChainRing", "chain_ring"),
     "verify": ("BhMatrix", "VerifyReport", "materialize", "verify_bh", "verify_group_ring"),
-    "arrays": ("PerfectArray", "autocorrelation", "to_array", "verify_perfect"),
+    "arrays": ("PerfectArray", "to_array", "verify_perfect"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,8 +7,8 @@ is perfect exactly when the group-ring element verifies, and both
 directions are testable here.  An array has at most `MAX_AXES` axes, numpy's
 limit, and more raise `InvalidParams`.
 `verify_perfect` is `verify.verify_group_ring` over the group of `dims` in
-factor form, which computes its products and builds no Cayley table;
-`autocorrelation` computes one shift and is the oracle.
+factor form, which computes its products and builds no Cayley table.  The
+autocorrelation of one shift, the oracle, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt
-from .errors import InvalidParams, NonUnimodular, NotAbelianFactored
-from .groups import FiniteGroup, GroupRingElt, Unimodular, as_unimodular
+from .errors import InvalidParams, NotAbelianFactored
+from .groups import FiniteGroup, Unimodular
 from .verify import verify_group_ring
 
 # numpy 2 holds at most 64 axes; an exported array has one per invariant factor
@@ -49,24 +48,12 @@ class PerfectArray:
         return PerfectArray(self.dims, self.h, E)
 
 
-def to_array(D: Unimodular | GroupRingElt) -> PerfectArray:
+def to_array(D: Unimodular) -> PerfectArray:
     """Array entry at the coordinates of g = exponent of the coefficient of g."""
     if D.group.abelian_factors is None:
         raise NotAbelianFactored("array export needs an abelian group in factor form")
-    U = as_unimodular(D)
-    if U is None:
-        raise NonUnimodular("all coefficients must be single roots of unity")
     # the group's element index is already row-major over its factors
-    return PerfectArray(U.group.abelian_factors, U.h, U.e)
-
-
-def autocorrelation(A: PerfectArray, shift) -> CycInt:
-    """Exact cyclic autocorrelation sum a_i * conj(a_{i+shift}) as a CycInt."""
-    shift = tuple(int(s) % d for s, d in zip(shift, A.dims))
-    t = A.E
-    shifted = np.roll(t, tuple(-s for s in shift), axis=tuple(range(len(A.dims))))
-    hist = np.bincount(((t - shifted) % A.h).ravel(), minlength=A.h)
-    return CycInt(A.h, tuple(int(c) for c in hist))
+    return PerfectArray(D.group.abelian_factors, D.h, D.e)
 
 
 def verify_perfect(A: PerfectArray) -> bool:

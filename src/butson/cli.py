@@ -11,13 +11,12 @@ writes no bytecode cache, every module a command imports is also compiled
 again on each call.
 
 When `main` reads the process's own command line, it ends the process
-itself.  It freezes the objects alive at that point (`gc.freeze`), runs the
-atexit handlers, flushes stdout and stderr, and leaves by `os._exit` with
-the command's exit code, so the interpreter does not tear down numpy's
-objects and modules one by one.  If a flush fails, `main` returns the code
-instead and Python's normal shutdown reports the failure as it would have.
-Usage errors and `--help` exit through argparse as before.  In-process
-callers pass `argv`, get the code back and keep their collector as it was.
+itself.  It runs the atexit handlers, flushes stdout and stderr, and leaves
+by `os._exit` with the command's exit code, so the interpreter does not tear
+down numpy's objects and modules one by one.  If a flush fails, `main`
+returns the code instead and Python's normal shutdown reports the failure as
+it would have.  Usage errors and `--help` exit through argparse as before.
+In-process callers pass `argv` and get the code back.
 
 numpy runs with one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
 """
@@ -32,7 +31,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import atexit
-import gc
 import sys
 
 from .errors import ButsonError, SelfCheckFailed
@@ -155,6 +153,7 @@ def _cmd_local_partition(args) -> int:
     from .sums import zero_sum
 
     R = chain_ring(args.family, args.p, args.d, args.n)
+    construct.check_t(R, args.t)  # before the sum of p^t roots is built
     etas = list(zero_sum(args.p**args.t, args.h).exps)
     D = construct.construct_partition_bh(R, args.t, etas, args.h, seed=args.seed)
     return _emit_matrix(args, D)
@@ -289,9 +288,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's _ArrayMemoryError too: no check ran, so none failed
         print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         code = EXIT_BAD_PARAMS
-    finally:
-        if argv is None:  # the process ends next: spare its exit collection every live object
-            gc.freeze()
     if argv is None:
         _end_process(code)
     return code

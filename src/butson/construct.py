@@ -277,8 +277,7 @@ def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list]:
     Cosets are enumerated canonically and their elements dealt round-robin;
     a seed shuffles the within-coset order to explore alternative partitions.
     """
-    if not 1 <= t <= R.d:
-        raise BadT(f"t must be in 1..{R.d}, got {t}")
+    check_t(R, t)
     parts: list[list] = [[] for _ in range(R.p**t)]
     cosets = _top_ideal_cosets(R)
     rng = random.Random(seed) if seed is not None else None
@@ -291,6 +290,12 @@ def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list]:
             slot += 1
     _check_partition(cosets, parts, R.p ** (R.d - t))
     return parts
+
+
+def check_t(R: ChainRing, t: int) -> None:
+    """Refuse a partition parameter t outside 1..d."""
+    if not 1 <= t <= R.d:
+        raise BadT(f"t must be in 1..{R.d}, got {t}")
 
 
 def _top_ideal_cosets(R: ChainRing) -> list[list]:
@@ -347,16 +352,6 @@ def construct_partition_bh(
 
 
 # -- construction 3: line family over R x R ----------------------------------
-
-
-def line_family(R: ChainRing):
-    """The subgroups I_r = {(x, xr)} for r in R and J_s = {(xs, x)} for s in I."""
-    lines_I = {r: frozenset((x, R.mul(x, r)) for x in R.elements) for r in R.elements}
-    lines_J = {
-        s: frozenset((R.mul(x, s), x) for x in R.elements)
-        for s in R.ideal_elements(1)
-    }
-    return lines_I, lines_J
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Values are integer coefficient vectors over the powers zeta_h^0..zeta_h^(h-1),
 kept unreduced; reduction modulo the h-th cyclotomic polynomial happens only
-inside the zero/integer tests.  `CycInt` coefficients are arbitrary-precision
-Python ints, and `is_zero` reduces one value by exact polynomial division.
+inside the zero tests.  The library only adds and subtracts `CycInt`s, whose
+coefficients are Python ints, and `is_zero` reduces one by exact polynomial
+division; their products are test oracles, in `tests/oracles.py`.
 
 The batched test `zero_rows` reduces a whole (N, h) coefficient array at once
 as `hist @ reduction_matrix(h)`, whose row j holds x^j mod Phi_h.  It runs in
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import NotOdd, OrderMismatch, SelfCheckFailed
+from .errors import OrderMismatch, SelfCheckFailed
 from .poly import _poly_divmod_monic, _poly_mul
 
 if TYPE_CHECKING:
@@ -47,10 +48,6 @@ class CycInt:
         return cls(h, (0,) * h)
 
     @classmethod
-    def integer(cls, h: int, n: int) -> "CycInt":
-        return cls(h, (n,) + (0,) * (h - 1))
-
-    @classmethod
     def root(cls, h: int, e: int) -> "CycInt":
         """zeta_h^e, the exponent taken mod h."""
         c = [0] * h
@@ -71,38 +68,6 @@ class CycInt:
 
     def __neg__(self) -> "CycInt":
         return CycInt(self.h, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CycInt") -> "CycInt":
-        # Index convolution mod h (zeta_h^h = 1); no Phi_h reduction here.
-        self._check(other)
-        h = self.h
-        out = [0] * h
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                out[k - h if k >= h else k] += a * b
-        return CycInt(h, tuple(out))
-
-    def conj(self) -> "CycInt":
-        h = self.h
-        out = [0] * h
-        for j, a in enumerate(self.coeffs):
-            out[(h - j) % h] = a
-        return CycInt(h, tuple(out))
-
-    def embed(self, new_h: int) -> "CycInt":
-        """Re-express in Z[zeta_new_h]; requires h | new_h."""
-        if new_h % self.h != 0:
-            raise OrderMismatch(f"{self.h} does not divide {new_h}")
-        s = new_h // self.h
-        out = [0] * new_h
-        for j, a in enumerate(self.coeffs):
-            out[j * s] = a
-        return CycInt(new_h, tuple(out))
 
     def monomial_exponent(self) -> int | None:
         """If the value is written as a single root of unity, its exponent."""
@@ -217,29 +182,3 @@ def reduce_rows(hist) -> np.ndarray:
 def zero_rows(hist) -> np.ndarray:
     """One bool per row of an (N, h) coefficient array: is that value zero?"""
     return ~(reduce_rows(hist) != 0).any(axis=1)
-
-
-def equals_integer(x: CycInt, n: int) -> bool:
-    return is_zero(x - CycInt.integer(x.h, n))
-
-
-def norm_sq(x: CycInt) -> CycInt:
-    return x * x.conj()
-
-
-def gauss_sum(n: int, b: int, variant: str) -> CycInt:
-    """Quadratic Gauss-type sums with square norm n (variant 'a') or 2n ('b')."""
-    if n < 1 or n % 2 == 0:
-        raise NotOdd(f"n must be odd and positive, got {n}")
-    if variant == "a":
-        out = [0] * n
-        for i in range(n):
-            out[(i * i + b * i) % n] += 1
-        return CycInt(n, tuple(out))
-    if variant == "b":
-        h = 4 * n
-        out = [0] * h
-        for i in range(2 * n):
-            out[(i * i + 2 * b * i) % h] += 1
-        return CycInt(h, tuple(out))
-    raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")

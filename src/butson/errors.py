@@ -15,10 +15,6 @@ class OrderMismatch(ButsonError):
     """Two cyclotomic values with different root orders were combined."""
 
 
-class NotOdd(ButsonError):
-    """Gauss sums are only defined for odd n."""
-
-
 class NoDecomposition(ButsonError):
     """No vanishing sum of the requested length exists."""
 
@@ -37,14 +33,6 @@ class NotAGroup(ButsonError):
 
 class NotASubgroup(ButsonError):
     """The given element set is not a subgroup."""
-
-
-class NotAbelian(ButsonError):
-    """Character machinery requires an abelian group in factor form."""
-
-
-class GroupMismatch(ButsonError):
-    """Group-ring operands live over different groups."""
 
 
 class NotAUnit(ButsonError):

@@ -16,12 +16,12 @@ Table file::
     order <N>
     <N lines of N space-separated elements, 0 the identity>
 
-Table paths are resolved relative to the matrix file's directory.  Header
-keys may not repeat, and an h whose h x h reduction matrix would not fit in
-physical memory is refused (`TooLarge`) before any array is built.  All
-three bodies must be ASCII integer tokens and are parsed by numpy (a table's
-row count is checked first), and both writers gather the strings of 0..h-1
-over an int array.
+Table paths are resolved relative to the matrix file's directory.  A header
+has exactly the keys shown, none repeated, and an h whose h x h reduction
+matrix would not fit in physical memory is refused (`TooLarge`) before any
+array is built.  All three bodies must be ASCII integer tokens and are
+parsed by numpy (a table's row count is checked first), and both writers
+gather the strings of 0..h-1 over an int array.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def _reading(path: Path):
         raise ButsonError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None
 
 
-def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
-    """h, the other header fields and the non-blank body lines of a data file."""
+def _read_file(path: Path, tag: str, what: str, key: str) -> tuple[int, str, list[str]]:
+    """h, the value of the header's one other key and the non-blank body lines of a data file."""
     with _reading(path):
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
         if not lines or lines[0].split()[0] != tag:
@@ -68,11 +68,13 @@ def _read_file(path: Path, tag: str, what: str) -> tuple[int, dict, list[str]]:
         pairs = [kv.split("=") for kv in lines[0].split()[1:]]
         if len(fields := dict(pairs)) != len(pairs):
             raise ButsonError(f"{path}: repeated header key")
-        h = int(fields.pop("h"))
+        if unknown := sorted(fields.keys() - {"h", key}):
+            raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
+        h, value = int(fields["h"]), fields[key]
     if h < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")
     _check_fits(h, f"{path}: the reduction matrix for h={h}")
-    return h, fields, lines[1:]
+    return h, value, lines[1:]
 
 
 def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
@@ -155,9 +157,9 @@ def _read_cayley_table(path: Path) -> np.ndarray:
 
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
-    h, fields, lines = _read_file(path, "bh", "a matrix")
+    h, order, lines = _read_file(path, "bh", "a matrix", "order")
     with _reading(path):
-        order = int(fields["order"])
+        order = int(order)
         spec, body = lines[0], lines[1:]
         E = _integers(body) if len(body) == order else None
     group = parse_group_spec(spec, base_dir=path.parent)
@@ -177,9 +179,9 @@ def read_array(path: str | Path) -> PerfectArray:
     from .arrays import PerfectArray
 
     path = Path(path)
-    h, fields, lines = _read_file(path, "array", "an array")
+    h, dims, lines = _read_file(path, "array", "an array", "dims")
     with _reading(path):
-        dims = tuple(int(x) for x in fields["dims"].split(","))
+        dims = tuple(int(x) for x in dims.split(","))
         flat = _integers([" ".join(lines)] if lines else [])  # entries may wrap anywhere
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")

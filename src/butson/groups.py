@@ -1,20 +1,20 @@
-"""Finite groups, their characters, and group rings over Z[zeta_h].
+"""Finite groups and the unimodular elements of their group rings over Z[zeta_h].
 
 Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
 table[a, b] = a*b, and the inverses one read-only (order,) array.  A block
 of table rows comes from `FiniteGroup.rows`: abelian groups in factor form
-compute it from their factor list, which the characters also read, and
-build `table` and `inverse` only when asked for them; every other group
-stores the table its builder fills by a broadcast expression.  `mul` and
-`inv` return Python ints.
+compute it from their factor list and build `table` and `inverse` only when
+asked for them; every other group stores the table its builder fills by a
+broadcast expression.  `mul` and `inv` return Python ints.
 
 A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,) int64
 exponent vector `e` mod h, passed from constructor to array file with no
-conversion.  `GroupRingElt`, a tuple of `CycInt` coefficients, serves the
-oracles (`gr_mul`, `apply_char`); `as_unimodular` is the one conversion
-between the two, and `Unimodular.coeffs` is the oracles' view of `e`.
+conversion.  It is the one element type of the library.  `GroupRingElt`, a
+tuple of `CycInt` coefficients, is kept for the benchmark's checker, and
+`as_unimodular` converts it; the group-ring arithmetic and the characters
+that read it are test oracles, in `tests/oracles.py`.
 
 Only `make_from_table` checks the group axioms: a table from outside is the
 one input that can fail them.  Associativity takes O(n^2 log n) by Light's
@@ -36,12 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt, is_zero
+from .cyclotomic import CycInt
 from .errors import (
-    GroupMismatch,
     InvalidAction,
     InvalidParams,
-    NotAbelian,
     NotAGroup,
     NotASubgroup,
     OrderMismatch,
@@ -79,13 +77,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    @property
-    def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
-
-    def same_as(self, other: "FiniteGroup") -> bool:
-        return self is other or np.array_equal(self.table, other.table)
 
 
 def _sum_rows(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
@@ -160,25 +151,6 @@ def make_abelian(factors) -> FiniteGroup:
     return FiniteGroup(order, desc, factors)
 
 
-def abelian_coords(G: FiniteGroup, i: int) -> tuple[int, ...]:
-    if G.abelian_factors is None:
-        raise NotAbelian("group has no factor form")
-    c = []
-    for f in reversed(G.abelian_factors):
-        c.append(i % f)
-        i //= f
-    return tuple(reversed(c))
-
-
-def abelian_index(G: FiniteGroup, c) -> int:
-    if G.abelian_factors is None:
-        raise NotAbelian("group has no factor form")
-    i = 0
-    for ci, f in zip(c, G.abelian_factors):
-        i = i * f + (ci % f)
-    return i
-
-
 def make_cyclic(n: int) -> FiniteGroup:
     return make_abelian((n,))
 
@@ -240,29 +212,6 @@ def coset_reps(G: FiniteGroup, subgroup) -> list[int]:
 
 
 @dataclass(frozen=True)
-class CharacterTable:
-    group: FiniteGroup
-    H: int  # exponent of the group; rows are exponent vectors over zeta_H
-    rows: tuple[tuple[int, ...], ...]
-
-
-def characters(G: FiniteGroup) -> CharacterTable:
-    if G.abelian_factors is None:
-        raise NotAbelian("characters need an abelian group in factor form")
-    factors = G.abelian_factors
-    H = math.lcm(*factors)
-    rows = []
-    for t in range(G.order):
-        tc = abelian_coords(G, t)
-        row = tuple(
-            sum(tj * gj * (H // f) for tj, gj, f in zip(tc, abelian_coords(G, g), factors)) % H
-            for g in G.elements()
-        )
-        rows.append(row)
-    return CharacterTable(G, H, tuple(rows))
-
-
-@dataclass(frozen=True)
 class GroupRingElt:
     """Formal sum over G with CycInt coefficients sharing one root order h."""
 
@@ -298,11 +247,6 @@ class Unimodular:
         e.flags.writeable = False
         object.__setattr__(self, "e", e)
 
-    @property
-    def coeffs(self) -> tuple[CycInt, ...]:
-        """The coefficients as CycInts, for the oracles that read a GroupRingElt."""
-        return tuple(CycInt.root(self.h, e) for e in self.e.tolist())
-
 
 def as_unimodular(D: "Unimodular | GroupRingElt") -> Unimodular | None:
     """D itself if Unimodular; a GroupRingElt of single roots converted; else None."""
@@ -310,34 +254,6 @@ def as_unimodular(D: "Unimodular | GroupRingElt") -> Unimodular | None:
         return D
     exps = D.monomial_exponents()
     return None if exps is None else Unimodular(D.group, D.h, exps)
-
-
-def _check_pair(x: GroupRingElt, y: GroupRingElt) -> None:
-    if not x.group.same_as(y.group):
-        raise GroupMismatch("operands live over different groups")
-    if x.h != y.h:
-        raise OrderMismatch(f"root orders differ: {x.h} vs {y.h}")
-
-
-def gr_add(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
-    _check_pair(x, y)
-    return GroupRingElt(x.group, x.h, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
-
-
-def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
-    _check_pair(x, y)
-    G, h = x.group, x.h
-    out = [CycInt.zero(h) for _ in G.elements()]
-    for a, ca in enumerate(x.coeffs):
-        if all(v == 0 for v in ca.coeffs):
-            continue
-        row = G.table[a].tolist()
-        for b, cb in enumerate(y.coeffs):
-            if all(v == 0 for v in cb.coeffs):
-                continue
-            g = row[b]
-            out[g] = out[g] + ca * cb
-    return GroupRingElt(G, h, tuple(out))
 
 
 # cells gathered per batch by the difference histograms; bounds their memory
@@ -373,44 +289,3 @@ def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) ->
     for g0 in range(0, n, step):
         hist[:, g0 : g0 + step] = difference_histograms(x[G.rows(g0, g0 + step)], Y, h).swapaxes(0, 1)
     return hist
-
-
-def gr_conj_inv(x: GroupRingElt) -> GroupRingElt:
-    G = x.group
-    out = [CycInt.zero(x.h)] * G.order
-    for g, c in enumerate(x.coeffs):
-        out[G.inv(g)] = c.conj()
-    return GroupRingElt(G, x.h, tuple(out))
-
-
-def gr_equal(x: GroupRingElt, y: GroupRingElt) -> bool:
-    _check_pair(x, y)
-    return all(is_zero(a - b) for a, b in zip(x.coeffs, y.coeffs))
-
-
-def apply_char(table: CharacterTable, row_index: int, X: GroupRingElt | Unimodular) -> CycInt:
-    """Character value as a CycInt over lcm(h, H)."""
-    row = table.rows[row_index]
-    L = math.lcm(X.h, table.H)
-    sH = L // table.H
-    U = as_unimodular(X)
-    if U is not None:
-        hist = [0] * L
-        sh = L // X.h
-        for g, e in enumerate(U.e.tolist()):
-            hist[(e * sh + row[g] * sH) % L] += 1
-        return CycInt(L, tuple(hist))
-    acc = CycInt.zero(L)
-    for g, c in enumerate(X.coeffs):
-        acc = acc + c.embed(L) * CycInt.root(L, row[g] * sH)
-    return acc
-
-
-def fourier_equal(D: GroupRingElt, E: GroupRingElt) -> bool:
-    """Equality test via characters; oracle for coefficientwise equality."""
-    _check_pair(D, E)
-    table = characters(D.group)
-    return all(
-        is_zero(apply_char(table, t, D) - apply_char(table, t, E))
-        for t in range(D.group.order)
-    )

@@ -94,9 +94,6 @@ class ChainRing:
     def add(self, x, y):
         return tuple((a + b) % self.q for a, b in zip(x, y))
 
-    def neg(self, x):
-        return tuple((-a) % self.q for a in x)
-
     @cached_property
     def mul_table(self):
         """Read-only (|R|, |R|) array of the index of elements[i] * elements[j]."""

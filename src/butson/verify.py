@@ -2,19 +2,19 @@
 
 `BhMatrix` holds one read-only (n, n) int64 array `E` mod h, which
 `materialize`, `fileio` and the verifiers share without a copy.
-`materialize` and `verify_group_ring` read the exponent vector `e` of a
-`groups.Unimodular` directly; a `GroupRingElt` enters through
-`as_unimodular`.  Every exact check gathers its own rows, counts their
-exponent differences with `groups.difference_histograms` in batches of
-bounded size, and zero-tests the (N, h) counts exactly with
-`cyclotomic.zero_rows`.
+`materialize` and `verify_group_ring` take a `groups.Unimodular`, or a
+`GroupRingElt` that `as_unimodular` converts (else `NonUnimodular`).  Every
+exact check gathers its own rows, counts their exponent differences with
+`groups.difference_histograms` in batches of bounded size, and zero-tests
+the (N, h) counts exactly with `cyclotomic.zero_rows`.
 
-`correlation_defects` tests D D^(-1) = |G| on batches of `FiniteGroup.rows`
-up to the first defect.  It serves `verify_group_ring`, `arrays.verify_perfect`
-and `verify_bh` on a matrix found G-invariant by one gather: there <row 0,
-row g> is the conjugate of the coefficient of g in D D^(-1), with D the
-matrix's column 0.  Non-invariant input, or `full`, gets every row pair;
-that route, `verify_by_characters` and `gr_mul` are the oracles.
+`correlation_defects`, the one exact check of D D^(-1) = |G|, runs on
+batches of `FiniteGroup.rows` up to the first defect.  It serves
+`verify_group_ring`, `arrays.verify_perfect` and `verify_bh` on a matrix
+found G-invariant by one gather: there <row 0, row g> is the conjugate of
+the coefficient of g in D D^(-1), with D the matrix's column 0.
+Non-invariant input, or `full`, gets every row pair, the oracle the CLI
+offers; the other oracles are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -24,21 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import equals_integer, is_zero, norm_sq, zero_rows
+from .cyclotomic import zero_rows
 from .errors import NonUnimodular
-from .groups import (
-    CHUNK_CELLS,
-    CharacterTable,
-    FiniteGroup,
-    GroupRingElt,
-    Unimodular,
-    apply_char,
-    as_unimodular,
-    characters,
-    difference_histograms,
-    gr_conj_inv,
-    gr_mul,
-)
+from .groups import CHUNK_CELLS, FiniteGroup, GroupRingElt, Unimodular, as_unimodular, difference_histograms
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +46,6 @@ class BhMatrix:
     def exponents(self) -> tuple[tuple[int, ...], ...]:
         """E as tuples of ints, kept only for bench/workloads.py and tests that compare tuples."""
         return tuple(map(tuple, self.E.tolist()))
-
-    def with_entry(self, row: int, col: int, e: int) -> "BhMatrix":
-        E = self.E.copy()
-        E[row, col] = e % self.h
-        return BhMatrix(self.h, self.group, E)
 
 
 @dataclass(frozen=True)
@@ -170,25 +153,8 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
 
 
 def verify_group_ring(D: Unimodular | GroupRingElt) -> bool:
-    """Exact check of D D^(-1) = |G| in the group ring.
-
-    A unimodular D goes through `correlation_defects`; any other D through
-    the generic `gr_mul`.
-    """
+    """Exact check of D D^(-1) = |G| in the group ring, by `correlation_defects`."""
     U = as_unimodular(D)
-    if U is not None:
-        return len(correlation_defects(U.group, U.h, U.e)) == 0
-    prod = gr_mul(D, gr_conj_inv(D))
-    if not equals_integer(prod.coeffs[0], D.group.order):
-        return False
-    return all(is_zero(c) for c in prod.coeffs[1:])
-
-
-def verify_by_characters(D: Unimodular | GroupRingElt, table: CharacterTable | None = None) -> bool:
-    """Abelian oracle: |chi(D)|^2 = |G| for every character chi."""
-    if table is None:
-        table = characters(D.group)
-    n = D.group.order
-    return all(
-        equals_integer(norm_sq(apply_char(table, t, D)), n) for t in range(n)
-    )
+    if U is None:
+        raise NonUnimodular("all coefficients must be single roots of unity")
+    return len(correlation_defects(U.group, U.h, U.e)) == 0

@@ -23,15 +23,16 @@ from butson.construct import (
     min_h,
     solve_coefficient_scheme,
 )
-from butson.cyclotomic import CycInt, equals_integer, gauss_sum, is_zero, norm_sq
+from butson.cyclotomic import CycInt, is_zero
 from butson.errors import WrongSubgroupOrder
 from butson.groups import GroupRingElt, make_abelian, make_from_table, make_semidirect
-from butson.arrays import autocorrelation, to_array, verify_perfect
+from butson.arrays import to_array, verify_perfect
 from butson.rings import chain_ring
 from butson.sums import prime_divisors, semigroup_member, unit_sum, zero_sum
-from butson.verify import materialize, verify_bh, verify_by_characters, verify_group_ring
+from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import build_instance_gallery, quaternion_table
+from oracles import autocorrelation, equals_integer, gauss_sum, norm_sq, verify_by_characters
 
 
 def timed(budget_s, fn):

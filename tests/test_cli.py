@@ -86,6 +86,10 @@ def test_bad_params_exit_codes(capsys):
     # h not a multiple of the minimal root order
     assert run("construct", "group", "--order", "4", "--h", "3") == 2
     assert "BadH" in capsys.readouterr().err
+    # t outside 1..d, refused before the vanishing sum of p^t roots is built
+    ring = ["--family", "galois", "--p", "3", "--d", "1", "--n", "2"]
+    assert run("construct", "local-partition", *ring, "--t", "0", "--h", "3") == 2
+    assert capsys.readouterr().err.startswith("error: BadT:")
 
 
 _MALFORMED = {
@@ -112,6 +116,8 @@ _MALFORMED = {
     "extra-row": (lambda valid: valid + valid.splitlines()[-1] + "\n", ["verify", "{file}"]),
     "trailing-text": (lambda valid: valid + "hello world\n", ["verify", "{file}"]),
     "repeated-h": (lambda valid: valid.replace("h=236", "h=236 h=5", 1), ["verify", "{file}"]),
+    "array-unknown-key": ("array h=2 dims=1 dim=7\n0\n", ["verify-array", "{file}"]),
+    "bh-unknown-key": ("bh h=2 order=1 colour=blue\ncyclic 1\n0\n", ["verify", "{file}"]),
 }
 
 
@@ -367,6 +373,8 @@ def test_ring_info_builds_no_product_table(monkeypatch, capsys, product_tables_b
     ["ring-info", "--family", "galois", "--p", "99991", "--d", "3", "--n", "1"],
     ["construct", "local-partition", "--family", "truncated", "--p", "2", "--d", "1",
      "--n", "14", "--t", "1", "--h", "2"],
+    # a vanishing sum of 3^17 roots
+    ["construct", "local-partition", "--family", "galois", "--p", "3", "--d", "1", "--n", "2", "--t", "17", "--h", "3"],
 ])
 def test_oversized_groups_and_rings_exit_2_before_allocating(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -374,7 +382,7 @@ def test_oversized_groups_and_rings_exit_2_before_allocating(argv):
     proc = subprocess.run([sys.executable, "-m", "butson.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(("error: TooLarge:", "error: UnsupportedRing:")), proc.stderr
+    assert proc.stderr.startswith(("error: TooLarge:", "error: UnsupportedRing:", "error: BadT:")), proc.stderr
 
 
 def test_export_array_beyond_numpy_axes_exits_2(tmp_path):

@@ -25,13 +25,12 @@ from butson.construct import (
     construct_partition_bh,
     deal_blocks,
     find_normal_cyclic_generator,
-    line_family,
     min_h,
     partition_R,
     ring_square_group,
     solve_coefficient_scheme,
 )
-from butson.cyclotomic import CycInt, equals_integer, is_zero, norm_sq
+from butson.cyclotomic import CycInt, is_zero
 from butson.errors import (
     BadEtaSum,
     BadH,
@@ -46,24 +45,14 @@ from butson.errors import (
     UnsupportedRing,
     WrongSubgroupOrder,
 )
-from butson.groups import (
-    Unimodular,
-    apply_char,
-    characters,
-    coset_reps,
-    cyclic_subgroup,
-    gr_conj_inv,
-    gr_mul,
-    make_abelian,
-    make_from_table,
-    make_semidirect,
-)
+from butson.groups import Unimodular, coset_reps, cyclic_subgroup, make_abelian, make_from_table, make_semidirect
 from butson.rings import chain_ring
 from butson.cli import main
 from butson.sums import zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
+from oracles import apply_char, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq
 
 
 def test_min_h_frozen_values():

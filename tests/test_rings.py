@@ -15,8 +15,10 @@ import pytest
 from sympy import Poly, symbols
 
 from butson.errors import ButsonError, UnsupportedRing
-from butson.groups import abelian_index, make_abelian
+from butson.groups import make_abelian
 from butson.rings import chain_ring, irreducible_poly
+
+from oracles import abelian_index, neg
 
 SMALL_RINGS = [
     ("galois", 2, 1, 2),      # Z4
@@ -42,7 +44,7 @@ def test_size_and_identities(ring):
     for x in ring.elements:
         assert ring.add(x, ring.zero) == x
         assert ring.mul(x, ring.one) == x
-        assert ring.add(x, ring.neg(x)) == ring.zero
+        assert ring.add(x, neg(ring, x)) == ring.zero
 
 
 def test_ring_axioms_exhaustive(ring):
@@ -100,7 +102,7 @@ def test_r1_transversal(ring):
     assert len(reps) == ring.p ** ring.d
     assert reps[0] == ring.zero
     for a, b in itertools.combinations(reps, 2):
-        assert ring.val(ring.add(a, ring.neg(b))) == 0, "distinct reps must differ by a unit"
+        assert ring.val(ring.add(a, neg(ring, b))) == 0, "distinct reps must differ by a unit"
 
 
 def test_coset_chain(ring):
