@@ -21,7 +21,8 @@ has exactly the keys shown, none repeated, and an h whose h x h reduction
 matrix would not fit in physical memory is refused (`TooLarge`) before any
 array is built.  All three bodies must be ASCII integer tokens and are
 parsed by numpy (a table's row count is checked first), and both writers
-gather the strings of 0..h-1 over an int array.
+gather the strings of 0..h-1 over an int array and join its lines one row
+block (`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ButsonError, NotAGroup, _check_fits
-from .groups import (
-    FiniteGroup,
-    make_abelian,
-    make_cyclic,
-    make_from_table,
-    make_semidirect,
-)
+from .groups import FiniteGroup, _frozen, make_abelian, make_cyclic, make_from_table, make_semidirect, row_slices
 from .verify import BhMatrix
 
 if TYPE_CHECKING:  # of the array code, only read_array needs `arrays` at run time
@@ -108,8 +103,10 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
 
 def _format(header: list[str], E: np.ndarray, h: int) -> str:
     """Header lines, then each row of an int array in 0..h-1 as space-separated text."""
-    words = np.array([str(e) for e in range(h)], dtype=object)[E]
-    return "\n".join(header + [" ".join(row) for row in words.tolist()]) + "\n"
+    words, lines = np.array([str(e) for e in range(h)], dtype=object), list(header)
+    for block in row_slices(*E.shape):
+        lines += map(" ".join, words[E[block]].tolist())
+    return "\n".join(lines + [""])  # not join(...) + "\n", which copies the whole text once more
 
 
 def format_matrix(M: BhMatrix) -> str:
@@ -167,7 +164,7 @@ def read_matrix(path: str | Path) -> BhMatrix:
         raise ButsonError(f"{path}: order header disagrees with the group")
     if E is None or E.shape != (order, order):
         raise ButsonError(f"{path}: expected {order} rows of {order} exponents, each an integer")
-    return BhMatrix(h, group, E)
+    return BhMatrix(h, group, _frozen(E))
 
 
 def format_array(A: PerfectArray) -> str:

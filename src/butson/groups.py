@@ -4,9 +4,12 @@ Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
 table[a, b] = a*b, and the inverses one read-only (order,) array.  A block
 of table rows comes from `FiniteGroup.rows`: abelian groups in factor form
-compute it from their factor list and build `table` and `inverse` only when
-asked for them; every other group stores the table its builder fills by a
-broadcast expression.  `mul` and `inv` return Python ints.
+compute it from their factor list, and `inverse` in closed form as the
+negated coordinates, and build `table` only when asked for it, which
+`materialize`, the invariance check and the exact checks never do; every
+other group stores the table its builder fills by a broadcast expression.  `mul` and `inv` return Python ints.  `row_slices` cuts an
+array into row blocks of about `BLOCK_CELLS` cells, the unit in which
+matrices are filled, checked and written.
 
 A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,) int64
@@ -67,7 +70,9 @@ class FiniteGroup:
 
     @cached_property
     def inverse(self) -> np.ndarray:  # read-only (order,) np.intp
-        return _frozen(np.nonzero(self.table == 0)[1])
+        if self.abelian_factors is None:
+            return _frozen(np.nonzero(self.table == 0)[1])
+        return _frozen(_negated(self.abelian_factors, np.arange(self.order)))
 
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
@@ -88,6 +93,15 @@ def _sum_rows(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
     # element a*low + x is the pair (a, x); halves keep numpy's innermost loop long
     block = _sum_rows(factors[:half], r // low)[:, :, None] * low + _sum_rows(factors[half:], r % low)[:, None, :]
     return block.reshape(len(r), math.prod(factors))
+
+
+def _negated(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
+    """The inverses of elements r of Z_f1 x ... x Z_fk, split in halves like `_sum_rows`."""
+    if len(factors) == 1:
+        return -r % factors[0]
+    half = len(factors) // 2
+    low = math.prod(factors[half:])
+    return _negated(factors[:half], r // low) * low + _negated(factors[half:], r % low)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -258,6 +272,15 @@ def as_unimodular(D: "Unimodular | GroupRingElt") -> Unimodular | None:
 
 # cells gathered per batch by the difference histograms; bounds their memory
 CHUNK_CELLS = 1 << 20
+# cells per row block of a matrix filled, checked or written; the histogram
+# batches keep CHUNK_CELLS, as 2^18 made verify-array 30 % slower at order 6561
+BLOCK_CELLS = 1 << 16
+
+
+def row_slices(rows: int, cols: int) -> list[slice]:
+    """Consecutive row ranges of a (rows, cols) array, about BLOCK_CELLS cells each."""
+    step = max(1, BLOCK_CELLS // cols)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
 def difference_histograms(X: np.ndarray, Y: np.ndarray, h: int) -> np.ndarray:

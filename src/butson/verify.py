@@ -1,7 +1,13 @@
 """Materialization and exact verification of Butson Hadamard matrices.
 
 `BhMatrix` holds one read-only (n, n) int64 array `E` mod h, which
-`materialize`, `fileio` and the verifiers share without a copy.
+`materialize`, `fileio` and the verifiers share without a copy.  It keeps
+an array that is already read-only int64 in 0..h-1, as `materialize` and
+`read_matrix` hand it one, and reduces anything else into an array of its
+own, so a caller's array is never frozen.  `materialize` fills E, and
+`invariance_witness` checks it, in row blocks (`groups.row_slices`), each
+gathered from `FiniteGroup.rows` and `inverse`: no Cayley table and no
+temporary of E's size.
 `materialize` and `verify_group_ring` take a `groups.Unimodular`, or a
 `GroupRingElt` that `as_unimodular` converts (else `NonUnimodular`).  Every
 exact check gathers its own rows, counts their exponent differences with
@@ -26,7 +32,8 @@ import numpy as np
 
 from .cyclotomic import zero_rows
 from .errors import NonUnimodular
-from .groups import CHUNK_CELLS, FiniteGroup, GroupRingElt, Unimodular, as_unimodular, difference_histograms
+from .groups import (CHUNK_CELLS, FiniteGroup, GroupRingElt, Unimodular, _frozen, as_unimodular,
+                     difference_histograms, row_slices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +45,11 @@ class BhMatrix:
     E: np.ndarray
 
     def __post_init__(self) -> None:
-        E = np.asarray(self.E, dtype=np.int64) % self.h
-        E.flags.writeable = False
-        object.__setattr__(self, "E", E)
+        E = self.E
+        # a read-only int64 array in 0..h-1 is kept; anything else is reduced into a new one
+        if not (isinstance(E, np.ndarray) and E.dtype == np.int64 and not E.flags.writeable
+                and (not E.size or 0 <= E.min() and E.max() < self.h)):
+            object.__setattr__(self, "E", _frozen(np.asarray(E, dtype=np.int64) % self.h))
 
     @property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -66,7 +75,10 @@ def materialize(G: FiniteGroup, D: Unimodular | GroupRingElt) -> BhMatrix:
     U = as_unimodular(D)
     if U is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
-    return BhMatrix(U.h, G, U.e[G.table[:, G.inverse]])
+    E = np.empty((G.order, G.order), dtype=np.int64)
+    for block in row_slices(G.order, G.order):  # cell (g, k) of a block is e[g k^(-1)]
+        E[block] = U.e[G.rows(block.start, block.stop)[:, G.inverse]]
+    return BhMatrix(U.h, G, _frozen(E))
 
 
 def _pair_blocks(E: np.ndarray, h: int):
@@ -99,13 +111,14 @@ def correlation_defects(G: FiniteGroup, h: int, e: np.ndarray) -> np.ndarray:
 
 def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
     """None if M is G-invariant, else (g, k, l) with E[g l][k l] != E[g][k]."""
-    # invariant iff E[g][k] == E[g k^(-1)][0] for all g, k
-    G = M.group
-    bad = np.argwhere(M.E[:, 0][G.table[:, G.inverse]] != M.E)
-    if len(bad) == 0:
-        return None
-    g, k = int(bad[0][0]), int(bad[0][1])
-    return g, k, G.inv(k)
+    # invariant iff E[g][k] == E[g k^(-1)][0] for all g, k; blocks go in row-major order
+    G, col0 = M.group, M.E[:, 0].copy()
+    for block in row_slices(G.order, G.order):
+        bad = np.argwhere(col0[G.rows(block.start, block.stop)[:, G.inverse]] != M.E[block])
+        if len(bad):
+            g, k = block.start + int(bad[0][0]), int(bad[0][1])
+            return g, k, G.inv(k)
+    return None
 
 
 def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from butson import construct, errors, verify
+from butson import construct, errors, groups, verify
 from butson.cli import main
 from butson.groups import GroupRingElt
 from butson.rings import ChainRing, chain_ring
@@ -287,6 +287,41 @@ def test_verify_array_needs_no_room_for_a_cayley_table(tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert run("verify-array", str(tmp_path / "r.arr")) == 0
     assert "perfect=True" in capsys.readouterr().out
+
+
+def test_factor_form_matrix_route_builds_no_cayley_table(tmp_path, monkeypatch):
+    # construct group is left out: construction 1's helpers (cyclic_subgroup,
+    # is_normal, coset_reps, coset_actions) still read the table, ROADMAP item 9's next step
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 1000)
+    monkeypatch.setattr(verify, "CHUNK_CELLS", 1000)
+    monkeypatch.setattr(groups.FiniteGroup, "table", property(lambda G: pytest.fail("a Cayley table was built")))
+    blocks = []
+    rows = groups.FiniteGroup.rows
+
+    def spy(G, start, stop):
+        block = rows(G, start, stop)
+        blocks.append(block.shape)
+        return block
+
+    monkeypatch.setattr(groups.FiniteGroup, "rows", spy)
+    monkeypatch.chdir(tmp_path)
+    for name, argv, n in [
+        ("partition", ["local-partition", "--family", "galois", "--p", "3", "--d", "1", "--n", "2",
+                       "--t", "1", "--h", "3"], 81),
+        ("lines", ["local-lines", "--family", "galois", "--p", "2", "--d", "2", "--n", "2", "--h", "6"], 256),
+    ]:
+        blocks.clear()
+        assert run("construct", *argv, "--out", f"{name}.bh") == 0
+        assert run("verify", f"{name}.bh") == 0
+        assert run("export-array", f"{name}.bh", "--out", f"{name}.arr") == 0
+        lines = Path(f"{name}.bh").read_text().splitlines()
+        last = lines[-1].split()
+        lines[-1] = " ".join([str(int(last[0]) + 1), *last[1:]])  # one entry, read back mod h
+        Path("mutant.bh").write_text("\n".join(lines) + "\n")
+        assert run("verify", "mutant.bh") == 1  # not invariant: every row pair
+        assert run("export-array", "mutant.bh", "--out", "mutant.arr") == 1
+        assert blocks and {cols for _, cols in blocks} == {n}
+        assert max(height for height, _ in blocks) == 1000 // n, (name, blocks)
 
 
 def test_cli_never_converts_through_group_ring_elements(tmp_path, monkeypatch):

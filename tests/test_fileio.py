@@ -36,6 +36,7 @@ def test_matrix_round_trip(tmp_path):
     path.write_text(fileio.format_matrix(M))
     back = fileio.read_matrix(path)
     assert back.h == M.h and back.exponents == M.exponents
+    assert back.E.dtype == M.E.dtype == np.int64 and not back.E.flags.writeable and not M.E.flags.writeable
     assert same_as(back.group, M.group)
     assert verify_bh(back).ok
 

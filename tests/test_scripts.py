@@ -39,8 +39,13 @@ def test_coldstart_compares_one_round():
     assert "numpy: no; butson: butson.errors butson.cli butson.poly butson.rings" in out
     assert "exit codes: old [0], new [0]" in out
     assert out.count("pairs, slower in") == 2  # wall and cpu of the default command
+    assert out.count("pairs, larger in") == 1  # and its peak memory
+    peaks = [float(line.split()[3]) for line in out.splitlines() if line.startswith("  rss  ") and ": median " in line]
+    assert len(peaks) == 2 and all(p > 1 for p in peaks), out  # old and new, in MB
     floor = [line for line in out.splitlines() if line.startswith("floor (python -c pass): wall median ")]
-    assert len(floor) == 1 and " cpu median " in floor[0], out
+    assert len(floor) == 1 and " cpu median " in floor[0] and " rss median " in floor[0], out
+    launcher = float(floor[0].split("launcher peak ")[1].removesuffix(" MB"))
+    assert launcher > 1, out
 
 
 def test_census_exits_0_or_2_on_small_rings():

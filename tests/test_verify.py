@@ -18,7 +18,8 @@ from butson.construct import (
 )
 from butson.errors import NonUnimodular
 from butson.groups import (
-    GroupRingElt, as_unimodular, make_abelian, make_cyclic, make_from_table, make_semidirect, unimodular_products,
+    GroupRingElt, Unimodular, as_unimodular, make_abelian, make_cyclic, make_from_table, make_semidirect,
+    unimodular_products,
 )
 from butson.cyclotomic import CycInt, is_zero
 from butson.verify import BhMatrix, invariance_witness, materialize, verify_bh, verify_group_ring
@@ -47,6 +48,21 @@ def test_materialize_matches_definition():
     assert all(type(e) is int for row in M.exponents for e in row)
 
 
+@pytest.mark.parametrize("cells", [1, 20, 1 << 16])
+def test_row_blocks_answer_as_the_whole_matrix(monkeypatch, cells):
+    monkeypatch.setattr(groups, "BLOCK_CELLS", cells)  # one row, two or three rows, or all rows per block
+    for G in (make_semidirect(4, 2, 3), make_abelian([3, 4])):
+        n, exps = G.order, [(g * g + 1) % 4 for g in G.elements()]
+        M = materialize(G, Unimodular(G, 4, exps))
+        assert M.E.tolist() == [[exps[G.mul(g, G.inv(k))] for k in G.elements()] for g in G.elements()]
+        for r, c in [(n - 1, n - 1), (n // 2, 1), (1, 0)]:
+            bad = with_entry(M, r, c, M.E[r, c] + 1)
+            # the witness is the first mismatch in row-major order, whichever block holds it
+            first = next((g, k) for g in G.elements() for k in G.elements()
+                         if bad.E[g, k] != bad.E[G.mul(g, G.inv(k)), 0])
+            assert invariance_witness(bad) == (*first, G.inv(first[1])), (G.descriptor, r, c)
+
+
 def test_bh_matrix_holds_one_read_only_reduced_array():
     G = make_cyclic(2)
     rows = [[0, -1], [5, 2]]
@@ -56,8 +72,18 @@ def test_bh_matrix_holds_one_read_only_reduced_array():
     assert M.exponents == ((0, 3), (1, 2))
     assert all(type(e) is int for row in M.exponents for e in row)
     src = np.array(rows)
-    BhMatrix(4, G, src)
+    assert BhMatrix(4, G, src).E.tolist() == [[0, 3], [1, 2]]
     assert src.flags.writeable and src.tolist() == rows  # the caller's array is untouched
+    writable, narrow = np.array([[0, 3], [1, 2]]), np.array([[0, 3], [1, 2]], dtype=np.int32)
+    narrow.flags.writeable = False
+    for A in (writable, narrow):  # writable, or not int64: copied, never frozen in place
+        E = BhMatrix(4, G, A).E
+        assert E is not A and E.dtype == np.int64 and not E.flags.writeable
+    assert writable.flags.writeable
+    A = np.array([[0, 3], [1, 2]])
+    A.flags.writeable = False
+    assert BhMatrix(4, G, A).E is A  # read-only, int64 and in range: kept as is
+    assert BhMatrix(3, G, A).E.tolist() == [[0, 0], [1, 2]]  # 3 is out of range for h = 3
     bad = with_entry(M, 0, 1, 6)
     assert bad.E.tolist() == [[0, 2], [1, 2]] and M.E.tolist() == [[0, 3], [1, 2]]
     assert not bad.E.flags.writeable
