@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cyclotomic import CycInt, is_zero, reduce_rows, reduction_matrix, zero_rows
+from .cyclotomic import CycInt, is_zero, reduce_rows, reduction_matrix
 from .errors import (
     BadEtaSum,
     BadH,
@@ -37,16 +37,7 @@ from .errors import (
     WrongSubgroupOrder,
     _check_fits,
 )
-from .groups import (
-    FiniteGroup,
-    Unimodular,
-    cyclic_subgroup,
-    coset_reps,
-    is_normal,
-    make_abelian,
-    make_cyclic,
-    unimodular_products,
-)
+from .groups import FiniteGroup, Unimodular, make_abelian, make_cyclic
 from .verify import verify_group_ring
 
 if TYPE_CHECKING:  # constructions 2 and 3 take a ring; construction 1 loads neither module
@@ -116,31 +107,7 @@ def build_blocks(params: BlockParams) -> list[Unimodular]:
         else:  # Val1: group order h/2, doubled off-diagonal term
             exps = [(j * j * k + 2 * m * i * j) % h for j in range(h // 2)]
         blocks.append(Unimodular(group, h, exps))
-    _check_blocks(blocks, n)
     return blocks
-
-
-def _check_blocks(blocks: list[Unimodular], n: int) -> None:
-    """Exact check that D_i D_j^(-1) = 0 for i != j and sum_i D_i D_i^(-1) = n.
-
-    Blocks come from validated parameters, so a failure is a program error.
-    The k^2 products are histogrammed one first block D_i at a time.
-    """
-    h, group = blocks[0].h, blocks[0].group
-    B = np.array([b.e for b in blocks])
-    k, c = B.shape
-    diag = np.zeros((c, h), dtype=np.int64)
-    for i in range(k):
-        hist = unimodular_products(group, h, B[i], B)
-        diag += hist[i]
-        ok = zero_rows(hist.reshape(k * c, h)).reshape(k, c).all(axis=1)
-        ok[i] = True
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            raise SelfCheckFailed(f"cross product D_{i} D_{int(bad[0])}^(-1) is nonzero")
-    diag[0, 0] -= n
-    if not zero_rows(diag).all():
-        raise SelfCheckFailed("diagonal block sum does not equal n")
 
 
 def construct_group_bh(
@@ -153,32 +120,39 @@ def construct_group_bh(
         raise BadH(f"h={h} is not a positive multiple of the minimal order {h0} for n={n}")
     _check_fits(h, f"the reduction matrix for h={h}")
     k = block_count(n, h0)
-    sub = cyclic_subgroup(G, subgroup_generator)
-    if len(sub) != n // k:
-        raise WrongSubgroupOrder(
-            f"need a cyclic subgroup of order {n // k}, got order {len(sub)}"
-        )
-    if not is_normal(G, sub):
-        raise NotNormal("the chosen cyclic subgroup is not normal")
-
-    reps = coset_reps(G, sub)
+    S, reps, t = _right_cosets(G, subgroup_generator, n // k)
     if len(reps) != k:
         raise SelfCheckFailed(f"{len(reps)} coset representatives for {k} blocks")
-    deal = deal_blocks(coset_actions(G, sub, reps), k)
+    deal = deal_blocks(t, k)
     B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
     # entry j of the block dealt to coset a is the coefficient of g^j r_a, g the generator
     e = np.zeros(n, dtype=np.int64)
-    e[G.table[list(sub)][:, reps]] = B[deal].T * (h // h0)
+    e[S[:, reps]] = B[deal].T * (h // h0)
     return _self_checked(Unimodular(G, h, e))
 
 
-def coset_actions(G: FiniteGroup, sub, reps) -> np.ndarray:
-    """t_a with r_a g r_a^(-1) = g^(t_a) for each representative r_a; sub lists 1, g, g^2, ..."""
-    power = np.zeros(G.order, dtype=np.intp)
-    power[list(sub)] = np.arange(len(sub))
-    reps = np.asarray(reps, dtype=np.intp)
-    g = sub[1] if len(sub) > 1 else 0
-    return power[G.table[G.table[reps, g], G.inverse[reps]]]
+def _right_cosets(G: FiniteGroup, g: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, reps, t for the right cosets <g> x of a normal <g> of the given order.
+
+    S[j, x] = g^j x, so column x is the coset of x.  reps holds the least
+    element of each coset, ascending, and t_a is the j with r_a g = g^j r_a.
+    Raises WrongSubgroupOrder or NotNormal.  Conjugation by the
+    representatives is the whole test of normality: they and g generate G.
+    """
+    step = G.rows([g])[0].tolist()  # x -> g x
+    powers, x = [0], g
+    while x != 0:
+        powers.append(x)
+        x = step[x]
+    if len(powers) != order:
+        raise WrongSubgroupOrder(f"need a cyclic subgroup of order {order}, got order {len(powers)}")
+    S = G.rows(powers)
+    reps = np.unique(S.min(axis=0))
+    rg = G.inverse[S[-1, G.inverse[reps]]]  # r g, as S[-1, r^(-1)] = g^(-1) r^(-1) = (r g)^(-1)
+    hits = S[:, reps] == rg
+    if not hits.any(axis=0).all():
+        raise NotNormal("the chosen cyclic subgroup is not normal")
+    return S, reps, hits.argmax(axis=0)
 
 
 def deal_blocks(t, k: int) -> list[int]:
@@ -262,9 +236,11 @@ def _self_checked(D: Unimodular) -> Unimodular:
 def find_normal_cyclic_generator(G: FiniteGroup, order: int) -> int:
     """Generator of a normal cyclic subgroup of the given order, or raise."""
     for g in G.elements():
-        sub = cyclic_subgroup(G, g)
-        if len(sub) == order and is_normal(G, sub):
-            return g
+        try:
+            _right_cosets(G, g, order)
+        except (WrongSubgroupOrder, NotNormal):
+            continue
+        return g
     raise WrongSubgroupOrder(f"no normal cyclic subgroup of order {order} in G")
 
 

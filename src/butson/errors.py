@@ -31,10 +31,6 @@ class NotAGroup(ButsonError):
     """A Cayley table failed the group axioms."""
 
 
-class NotASubgroup(ButsonError):
-    """The given element set is not a subgroup."""
-
-
 class NotAUnit(ButsonError):
     """Inverse requested for a non-unit ring element."""
 

@@ -2,14 +2,17 @@
 
 Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
-table[a, b] = a*b, and the inverses one read-only (order,) array.  A block
-of table rows comes from `FiniteGroup.rows`: abelian groups in factor form
-compute it from their factor list, and `inverse` in closed form as the
-negated coordinates, and build `table` only when asked for it, which
-`materialize`, the invariance check and the exact checks never do; every
-other group stores the table its builder fills by a broadcast expression.  `mul` and `inv` return Python ints.  `row_slices` cuts an
-array into row blocks of about `BLOCK_CELLS` cells, the unit in which
-matrices are filled, checked and written.
+table[a, b] = a*b, and the inverses one read-only (order,) array.
+
+`FiniteGroup.rows(r)` is table[r] for a slice or an index array r.  Only a
+group built from a table stores one.  Abelian groups in factor form and
+`semidirect` groups compute their rows from their parameters, and their
+`inverse` in closed form.  They build `table` only when asked for it, which
+construction 1, `materialize`, the invariance check and the exact checks
+never do.  `mul` and `inv` return Python ints.
+
+`row_slices` cuts an array into row blocks of about `BLOCK_CELLS` cells, the
+unit in which matrices are filled, checked and written.
 
 A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,) int64
@@ -44,9 +47,7 @@ from .errors import (
     InvalidAction,
     InvalidParams,
     NotAGroup,
-    NotASubgroup,
     OrderMismatch,
-    SelfCheckFailed,
     _check_fits,
 )
 
@@ -56,23 +57,32 @@ class FiniteGroup:
     order: int
     descriptor: str
     abelian_factors: tuple[int, ...] | None = None
+    action: tuple[int, int, int] | None = None  # (m, k, t) of a semidirect group, else None
     stored: np.ndarray | None = None  # the table of a group built from one, else None
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """table[start:stop]; a group in factor form computes it from its factors."""
-        if self.abelian_factors is None:
-            return self.table[start:stop]
-        return _sum_rows(self.abelian_factors, np.arange(*slice(start, stop).indices(self.order)))
+    def rows(self, r: slice | np.ndarray) -> np.ndarray:
+        """table[r] for a slice or an index array r, computed unless the group stores its table."""
+        if self.stored is not None:
+            return self.stored[r]
+        r = np.arange(self.order)[r]
+        if self.abelian_factors is not None:
+            return _sum_rows(self.abelian_factors, r)
+        return _semidirect_rows(*self.action, r)
 
     @cached_property
     def table(self) -> np.ndarray:  # read-only (order, order) np.intp; table[a, b] = a*b
-        return self.stored if self.stored is not None else _frozen(self.rows(0, self.order))
+        return self.stored if self.stored is not None else _frozen(self.rows(slice(None)))
 
     @cached_property
     def inverse(self) -> np.ndarray:  # read-only (order,) np.intp
-        if self.abelian_factors is None:
-            return _frozen(np.nonzero(self.table == 0)[1])
-        return _frozen(_negated(self.abelian_factors, np.arange(self.order)))
+        r = np.arange(self.order)
+        if self.abelian_factors is not None:
+            return _frozen(_negated(self.abelian_factors, r))
+        if self.action is not None:
+            m, k, t = self.action
+            i, j = np.divmod(r, k)  # (i, j)^(-1) = (-t^(k-j) i mod m, -j mod k)
+            return _frozen(-_powers(t, k, m)[-j % k] * i % m * k + -j % k)
+        return _frozen(np.nonzero(self.stored == 0)[1])
 
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
@@ -102,6 +112,23 @@ def _negated(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
     half = len(factors) // 2
     low = math.prod(factors[half:])
     return _negated(factors[:half], r // low) * low + _negated(factors[half:], r % low)
+
+
+def _powers(t: int, k: int, m: int) -> np.ndarray:
+    """t^0, ..., t^(k-1) mod m."""
+    return np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
+
+
+def _semidirect_rows(m: int, k: int, t: int, r: np.ndarray) -> np.ndarray:
+    """Rows r of the table of Z_m x| Z_k, element i*k + j the pair (i, j).
+
+    (i, j)(i', j') = (i + t^j i' mod m, j + j' mod k): each row is an (m,)
+    part times k plus a (k,) part, added by broadcasting as in `_sum_rows`.
+    """
+    i, j = np.divmod(r, k)
+    high = (i[:, None] + _powers(t, k, m)[j][:, None] * np.arange(m)) % m * k
+    low = (j[:, None] + np.arange(k)) % k
+    return (high[:, :, None] + low[:, None, :]).reshape(len(r), m * k)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -148,7 +175,7 @@ def _check_axioms(table: np.ndarray) -> None:
 
 
 def _finish(table: np.ndarray, descriptor: str) -> FiniteGroup:
-    """A group kept as its (n, n) np.intp table; every builder but make_abelian ends here."""
+    """A group kept as its (n, n) np.intp table, the one that make_from_table validated."""
     return FiniteGroup(len(table), descriptor, stored=_frozen(table))
 
 
@@ -176,10 +203,7 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
     _check_fits(m * k, f"the Cayley table of semidirect {m},{k},{t} (order {m * k})")
-    tp = np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
-    i, j = np.divmod(np.arange(m * k), k)  # element i*k + j is (i, j)
-    table = (i[:, None] + tp[j][:, None] * i) % m * k + (j[:, None] + j) % k
-    return _finish(table, f"semidirect {m},{k},{t}")
+    return FiniteGroup(m * k, f"semidirect {m},{k},{t}", action=(m, k, t))
 
 
 def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
@@ -190,39 +214,6 @@ def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
         raise NotAGroup("table entries out of range") from None
     _check_axioms(arr)
     return _finish(arr, descriptor)
-
-
-def cyclic_subgroup(G: FiniteGroup, g: int) -> tuple[int, ...]:
-    """The powers 1, g, g^2, ... of g, in that order."""
-    out, x = [0], g
-    while x != 0:
-        out.append(x)
-        x = G.mul(x, g)
-    return tuple(out)
-
-
-def is_normal(G: FiniteGroup, sub) -> bool:
-    """True iff x s x^(-1) lies in sub for every x in G and s in sub."""
-    sub = np.asarray(sub, dtype=np.intp)
-    T = G.table
-    return bool(np.isin(T[T[:, sub], G.inverse[:, None]], sub).all())
-
-
-def coset_reps(G: FiniteGroup, subgroup) -> list[int]:
-    """One representative per right coset H*x, identity first."""
-    H = sorted(set(subgroup))
-    hs = set(H)
-    if 0 not in hs or any(G.mul(a, b) not in hs for a in H for b in H):
-        raise NotASubgroup(f"{H} is not a subgroup")
-    reps, covered = [], set()
-    for x in G.elements():
-        if x in covered:
-            continue
-        reps.append(x)
-        covered.update(G.mul(s, x) for s in H)
-    if len(reps) != G.order // len(H):
-        raise SelfCheckFailed(f"{len(reps)} right cosets of a subgroup of order {len(H)} in order {G.order}")
-    return reps
 
 
 @dataclass(frozen=True)
@@ -296,19 +287,3 @@ def difference_histograms(X: np.ndarray, Y: np.ndarray, h: int) -> np.ndarray:
     cells += X[:, None]
     hist = np.bincount(cells.ravel(), minlength=p * q * 2 * h).reshape(p, q, 2 * h)
     return hist[..., :h] + hist[..., h:]
-
-
-def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Coefficient histograms of x * y^(-1) for each row y of Y, all unimodular.
-
-    x is an (n,) vector and Y an (m, n) array of exponents in 0..h-1.  Entry
-    [j, g, t] of the (m, n, h) result counts the b with x[g b] - Y[j, b] = t
-    (mod h): the coefficient of g in x * y_j^(-1) is sum_t [j, g, t] zeta_h^t.
-    The rows x[table[g]] are histogrammed in chunks of about CHUNK_CELLS cells.
-    """
-    n, m = G.order, len(Y)
-    hist = np.empty((m, n, h), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // (m * n))
-    for g0 in range(0, n, step):
-        hist[:, g0 : g0 + step] = difference_histograms(x[G.rows(g0, g0 + step)], Y, h).swapaxes(0, 1)
-    return hist

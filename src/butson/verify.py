@@ -77,7 +77,7 @@ def materialize(G: FiniteGroup, D: Unimodular | GroupRingElt) -> BhMatrix:
         raise NonUnimodular("all coefficients must be single roots of unity")
     E = np.empty((G.order, G.order), dtype=np.int64)
     for block in row_slices(G.order, G.order):  # cell (g, k) of a block is e[g k^(-1)]
-        E[block] = U.e[G.rows(block.start, block.stop)[:, G.inverse]]
+        E[block] = U.e[G.rows(block)[:, G.inverse]]
     return BhMatrix(U.h, G, _frozen(E))
 
 
@@ -102,7 +102,7 @@ def correlation_defects(G: FiniteGroup, h: int, e: np.ndarray) -> np.ndarray:
     n = G.order
     step = max(1, CHUNK_CELLS // n)
     for g0 in range(1, n, step):
-        hist = difference_histograms(e[G.rows(g0, g0 + step)], e[None], h)[:, 0]
+        hist = difference_histograms(e[G.rows(slice(g0, g0 + step))], e[None], h)[:, 0]
         bad = np.flatnonzero(~zero_rows(hist))
         if len(bad):
             return g0 + bad
@@ -114,7 +114,7 @@ def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
     # invariant iff E[g][k] == E[g k^(-1)][0] for all g, k; blocks go in row-major order
     G, col0 = M.group, M.E[:, 0].copy()
     for block in row_slices(G.order, G.order):
-        bad = np.argwhere(col0[G.rows(block.start, block.stop)[:, G.inverse]] != M.E[block])
+        bad = np.argwhere(col0[G.rows(block)[:, G.inverse]] != M.E[block])
         if len(bad):
             g, k = block.start + int(bad[0][0]), int(bad[0][1])
             return g, k, G.inv(k)

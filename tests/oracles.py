@@ -2,9 +2,10 @@
 
 Slow, direct restatements: arithmetic in Z[zeta_h] and in the group ring over
 `GroupRingElt` coefficients, characters of abelian groups, D D^(-1) = |G| by
-`gr_mul` and by characters, one shift's autocorrelation and construction 3's
-line family.  A library method they need is a function here taking the object
-first: `x * y` of two `CycInt`s reads `cyc_mul(x, y)`.
+`gr_mul` and by characters, the histograms of x y^(-1) for unimodular x and
+y, construction 1's block identities, one shift's autocorrelation and
+construction 3's line family.  A library method they need is a function here
+taking the object first: `x * y` of two `CycInt`s reads `cyc_mul(x, y)`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from butson import groups
 from butson.arrays import PerfectArray
-from butson.cyclotomic import CycInt, is_zero
+from butson.cyclotomic import CycInt, is_zero, zero_rows
 from butson.errors import ButsonError, OrderMismatch
-from butson.groups import FiniteGroup, GroupRingElt, Unimodular, as_unimodular
+from butson.groups import FiniteGroup, GroupRingElt, Unimodular, as_unimodular, difference_histograms
 from butson.verify import BhMatrix
 
 
@@ -240,6 +242,43 @@ def verify_by_characters(D: Unimodular | GroupRingElt, table: CharacterTable | N
     return all(
         equals_integer(norm_sq(apply_char(table, t, D)), n) for t in range(n)
     )
+
+
+def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Coefficient histograms of x * y^(-1) for each row y of Y, all unimodular.
+
+    x is an (n,) vector and Y an (m, n) array of exponents in 0..h-1.  Entry
+    [j, g, t] of the (m, n, h) result counts the b with x[g b] - Y[j, b] = t
+    (mod h): the coefficient of g in x * y_j^(-1) is sum_t [j, g, t] zeta_h^t.
+    The rows x[table[g]] go in chunks of about groups.CHUNK_CELLS cells.
+    """
+    n, m = G.order, len(Y)
+    hist = np.empty((m, n, h), dtype=np.int64)
+    step = max(1, groups.CHUNK_CELLS // (m * n))
+    for g0 in range(0, n, step):
+        hist[:, g0 : g0 + step] = difference_histograms(x[G.rows(slice(g0, g0 + step))], Y, h).swapaxes(0, 1)
+    return hist
+
+
+def block_defect(blocks: list[Unimodular], n: int) -> str | None:
+    """None if D_i D_j^(-1) = 0 for i != j and sum_i D_i D_i^(-1) = n exactly, else the first that fails.
+
+    The k^2 products are histogrammed one first block D_i at a time.
+    """
+    h, group = blocks[0].h, blocks[0].group
+    B = np.array([b.e for b in blocks])
+    k, c = B.shape
+    diag = np.zeros((c, h), dtype=np.int64)
+    for i in range(k):
+        hist = unimodular_products(group, h, B[i], B)
+        diag += hist[i]
+        ok = zero_rows(hist.reshape(k * c, h)).reshape(k, c).all(axis=1)
+        ok[i] = True
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            return f"cross product D_{i} D_{int(bad[0])}^(-1) is nonzero"
+    diag[0, 0] -= n
+    return None if zero_rows(diag).all() else "diagonal block sum does not equal n"
 
 
 def with_entry(M: BhMatrix, row: int, col: int, e: int) -> BhMatrix:

@@ -32,7 +32,7 @@ from butson.sums import prime_divisors, semigroup_member, unit_sum, zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import build_instance_gallery, quaternion_table
-from oracles import autocorrelation, equals_integer, gauss_sum, norm_sq, verify_by_characters
+from oracles import autocorrelation, block_defect, equals_integer, gauss_sum, norm_sq, verify_by_characters
 
 
 def timed(budget_s, fn):
@@ -87,9 +87,8 @@ def test_criterion_04_block_sweep():
         cases = set()
         for n in range(1, 65):
             params = BlockParams.plan(n)
-            # build_blocks verifies the pairwise and diagonal identities
-            # exactly and raises on any violation
-            build_blocks(params)
+            # the pairwise and diagonal identities, exactly
+            assert block_defect(build_blocks(params), n) is None, n
             cases.add(params.case)
         return cases
 

@@ -144,14 +144,15 @@ def test_self_check_failure_exits_1(monkeypatch, capsys):
 
 def test_block_check_failure_exits_1(monkeypatch, capsys):
     # multiplier 0 makes every block equal, so no cross product vanishes;
-    # the planner never allows it, so this is a program error, not bad input
+    # the planner never allows it, so this is a program error, not bad input,
+    # and the self-check of the whole element catches it
     plan = construct.BlockParams.plan
     monkeypatch.setattr(construct.BlockParams, "plan",
                         lambda n, m=1: dataclasses.replace(plan(n, m), m=0))
     assert run("construct", "group", "--order", "16", "--h", "4") == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failed:")
-    assert "cross product D_0 D_1^(-1) is nonzero" in err
+    assert "the element built over cyclic 16 fails D D^(-1) = |G|" in err
 
 
 def test_construct_checks_its_result_once(monkeypatch, capsys):
@@ -290,16 +291,15 @@ def test_verify_array_needs_no_room_for_a_cayley_table(tmp_path, monkeypatch, ca
 
 
 def test_factor_form_matrix_route_builds_no_cayley_table(tmp_path, monkeypatch):
-    # construct group is left out: construction 1's helpers (cyclic_subgroup,
-    # is_normal, coset_reps, coset_actions) still read the table, ROADMAP item 9's next step
+    # only a group read from a table file stores one; none of these commands may build one
     monkeypatch.setattr(groups, "BLOCK_CELLS", 1000)
     monkeypatch.setattr(verify, "CHUNK_CELLS", 1000)
     monkeypatch.setattr(groups.FiniteGroup, "table", property(lambda G: pytest.fail("a Cayley table was built")))
     blocks = []
     rows = groups.FiniteGroup.rows
 
-    def spy(G, start, stop):
-        block = rows(G, start, stop)
+    def spy(G, r):
+        block = rows(G, r)
         blocks.append(block.shape)
         return block
 
@@ -322,6 +322,12 @@ def test_factor_form_matrix_route_builds_no_cayley_table(tmp_path, monkeypatch):
         assert run("export-array", "mutant.bh", "--out", "mutant.arr") == 1
         assert blocks and {cols for _, cols in blocks} == {n}
         assert max(height for height, _ in blocks) == 1000 // n, (name, blocks)
+    for name, spec, n, h in [("cyclic", "cyclic:16", 16, 4), ("abelian", "abelian:4,4", 16, 4),
+                             ("semidirect", "semidirect:16,4,15", 64, 8)]:
+        blocks.clear()
+        assert run("construct", "group", "--order", str(n), "--h", str(h), "--group", spec, "--out", f"{name}.bh") == 0
+        assert run("verify", f"{name}.bh") == 0
+        assert blocks and {cols for _, cols in blocks} == {n}
 
 
 def test_cli_never_converts_through_group_ring_elements(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from butson.construct import (
     BlockParams,
     block_count,
     build_blocks,
-    coset_actions,
     construct_group_bh,
     construct_line_bh,
     construct_partition_bh,
@@ -45,14 +44,14 @@ from butson.errors import (
     UnsupportedRing,
     WrongSubgroupOrder,
 )
-from butson.groups import Unimodular, coset_reps, cyclic_subgroup, make_abelian, make_from_table, make_semidirect
+from butson.groups import Unimodular, make_abelian, make_from_table, make_semidirect
 from butson.rings import chain_ring
 from butson.cli import main
 from butson.sums import zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
-from oracles import apply_char, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq
+from oracles import apply_char, block_defect, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq
 
 
 def test_min_h_frozen_values():
@@ -125,7 +124,8 @@ def test_group_bh_rejects_wrong_subgroup_order():
 def test_group_bh_rejects_non_normal_subgroup():
     G = make_semidirect(8, 2, 3)  # order 16, needs a cyclic subgroup of order 4
     g = 3  # the element (1, 1): order 4, generates a non-normal subgroup
-    assert len(cyclic_subgroup(G, g)) == 4
+    with pytest.raises(NotNormal):
+        construct._right_cosets(G, g, 4)  # not WrongSubgroupOrder: <g> has order 4
     with pytest.raises(NotNormal):
         construct_group_bh(G, g, 4)
 
@@ -197,8 +197,8 @@ def test_group_bh_builds_where_the_canonical_deal_fails(spec, h, tmp_path):
 
 def test_coset_actions_of_the_dihedral_group():
     D4 = make_semidirect(4, 2, 3)  # (i, j) has index 2i + j; b = (0, 1) inverts a = (1, 0)
-    sub = cyclic_subgroup(D4, 2)
-    assert coset_actions(D4, sub, coset_reps(D4, sub)).tolist() == [1, 3]
+    S, reps, t = construct._right_cosets(D4, 2, 4)
+    assert S[:, 0].tolist() == [0, 2, 4, 6] and reps.tolist() == [0, 1] and t.tolist() == [1, 3]
 
 
 def test_deal_blocks_keeps_the_canonical_deal_where_it_works():
@@ -447,10 +447,24 @@ def test_self_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+_SHIFTED_BLOCK = """
+build = construct.build_blocks
+def build_blocks(params):
+    first, *rest = build(params)
+    e = first.e.copy()
+    e[1] += 1
+    return [construct.Unimodular(first.group, first.h, e), *rest]
+construct.build_blocks = build_blocks
+"""
+
+
 @pytest.mark.parametrize("patch", [
     "construct.block_count = lambda n, h: 1",  # n = 4, h = 2 then plans l = 2, which must be odd
-    "construct.coset_reps = lambda G, sub: [0]",  # one representative for k = 2 blocks
-], ids=["plan", "coset-reps"])
+    # one representative for k = 2 blocks
+    "cosets = construct._right_cosets\n"
+    "construct._right_cosets = lambda *args: (lambda S, reps, t: (S, reps[:1], t[:1]))(*cosets(*args))",
+    _SHIFTED_BLOCK,  # a wrong block is caught by the self-check of the whole element
+], ids=["plan", "coset-reps", "shifted-block"])
 def test_construction_one_checks_survive_python_O(patch):
     code = textwrap.dedent("""
         import sys
@@ -496,22 +510,20 @@ def _first_bad_pair(blocks):
 @pytest.mark.parametrize("n", [9, 16, 36, 48])
 def test_corrupted_block_fails_the_self_check(n):
     blocks = build_blocks(BlockParams.plan(n))
-    construct._check_blocks(blocks, n)
+    assert block_defect(blocks, n) is None
     k = len(blocks)
     assert k >= 3
     for i, g in ((2, 1), (k - 1, 0), (0, 2)):
         bad = _corrupted(blocks, i, g)
         pair = _first_bad_pair(bad)
         assert pair is not None
-        with pytest.raises(SelfCheckFailed, match=rf"cross product D_{pair[0]} D_{pair[1]}\^\(-1\) is nonzero"):
-            construct._check_blocks(bad, n)
+        assert block_defect(bad, n) == f"cross product D_{pair[0]} D_{pair[1]}^(-1) is nonzero"
 
 
 def test_corrupted_single_block_fails_the_diagonal_check():
     blocks = build_blocks(BlockParams.plan(2))
     assert len(blocks) == 1
-    with pytest.raises(SelfCheckFailed, match="diagonal block sum does not equal n"):
-        construct._check_blocks(_corrupted(blocks, 0, 1), 2)
+    assert block_defect(_corrupted(blocks, 0, 1), 2) == "diagonal block sum does not equal n"
 
 
 def test_collapse_to_roots_reads_unreduced_roots():

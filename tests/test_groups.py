@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 
@@ -11,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butson import groups
-from butson.construct import find_normal_cyclic_generator
+from butson.construct import _right_cosets, find_normal_cyclic_generator
 from butson.cyclotomic import CycInt, is_zero
-from butson.errors import InvalidAction, InvalidParams, NotAGroup, TooLarge, WrongSubgroupOrder
-from butson.groups import (
-    GroupRingElt, _check_axioms, coset_reps, cyclic_subgroup, is_normal, make_abelian, make_cyclic, make_from_table,
-    make_semidirect,
-)
+from butson.errors import InvalidAction, InvalidParams, NotAGroup, NotNormal, TooLarge, WrongSubgroupOrder
+from butson.groups import GroupRingElt, _check_axioms, make_abelian, make_cyclic, make_from_table, make_semidirect
 from butson.fileio import parse_group_spec
 
 from conftest import quaternion_table
@@ -27,10 +25,18 @@ from oracles import (
 )
 
 
+def powers(G, g):
+    """1, g, g^2, ... by the table."""
+    out, x = [0], g
+    while x != 0:
+        out, x = out + [x], G.mul(x, g)
+    return out
+
+
 def order_histogram(G):
     hist = {}
     for g in G.elements():
-        o = len(cyclic_subgroup(G, g))
+        o = len(powers(G, g))
         hist[o] = hist.get(o, 0) + 1
     return hist
 
@@ -100,20 +106,27 @@ def _normal_by_definition(G, sub):
     return all(G.mul(G.mul(x, s), G.inv(x)) in members for x in G.elements() for s in sub)
 
 
+def _generates_normal(G, g):
+    try:
+        _right_cosets(G, g, len(powers(G, g)))
+    except NotNormal:
+        return False
+    return True
+
+
 def test_is_normal_matches_definition(q8_table):
     S3 = make_semidirect(3, 2, 2)  # element 2i + j is (i, j)
     D4 = make_semidirect(4, 2, 3)
     # the order-2 subgroups of S3 and a reflection subgroup of D4 are not normal
-    for G, sub in [(S3, (0, 1)), (S3, (0, 3)), (S3, (0, 5)), (D4, (0, 1))]:
-        assert not is_normal(G, sub) and not _normal_by_definition(G, sub)
-    # rotations, the centre, a Klein four-group and the whole group are
-    for G, sub in [(S3, (0, 2, 4)), (D4, (0, 2, 4, 6)), (D4, (0, 4)), (D4, (0, 1, 4, 5)),
-                   (D4, tuple(D4.elements()))]:
-        assert is_normal(G, sub) and _normal_by_definition(G, sub)
-    for G in (S3, D4, make_from_table(q8_table), make_abelian([2, 4])):
+    for G, g, sub in [(S3, 1, (0, 1)), (S3, 3, (0, 3)), (S3, 5, (0, 5)), (D4, 1, (0, 1))]:
+        assert not _generates_normal(G, g) and not _normal_by_definition(G, sub)
+    # rotations and the centre are
+    for G, g, sub in [(S3, 2, (0, 2, 4)), (D4, 2, (0, 2, 4, 6)), (D4, 4, (0, 4))]:
+        assert _generates_normal(G, g) and _normal_by_definition(G, sub)
+    for G in (S3, D4, make_from_table(q8_table), make_abelian([2, 4]), make_semidirect(8, 2, 3),
+              make_semidirect(16, 4, 15)):
         for g in G.elements():
-            sub = cyclic_subgroup(G, g)
-            assert is_normal(G, sub) == _normal_by_definition(G, sub)
+            assert _generates_normal(G, g) == _normal_by_definition(G, powers(G, g)), (G.descriptor, g)
 
 
 def test_same_as_compares_tables(q8_table):
@@ -365,10 +378,36 @@ def test_rows_of_factor_form_groups_match_coordinate_sums(factors):
     for step in sorted({1, 7, 64, n}):
         # the last batch runs past the end, as table[start:stop] allows
         for start in range(0, n + 1, step):
-            block = G.rows(start, start + step)
+            block = G.rows(slice(start, start + step))
             assert block.dtype == np.intp and np.array_equal(block, table[start : start + step]), (step, start)
+    picks = np.array(random.Random(n).choices(range(n), k=9))
+    assert np.array_equal(G.rows(picks), table[picks])
     assert np.array_equal(G.table, table) and not G.table.flags.writeable
     assert np.array_equal(G.inverse, np.argmin(table, axis=1))
+
+
+def _semidirect_table(m, k, t):
+    """The table of semidirect:m,k,t by one broadcast over all pairs of elements."""
+    tp = np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
+    i, j = np.divmod(np.arange(m * k), k)  # element i*k + j is (i, j)
+    return (i[:, None] + tp[j][:, None] * i) % m * k + (j[:, None] + j) % k
+
+
+def test_semidirect_rows_and_inverse_match_the_broadcast_table():
+    rng = random.Random(64)
+    specs = [(m, k, t) for m in range(1, 65) for k in range(1, 64 // m + 1) for t in range(m)
+             if math.gcd(t, m) == 1 and pow(t, k, m) == 1 % m]
+    assert len(specs) > 200
+    for m, k, t in specs:
+        G, table = make_semidirect(m, k, t), _semidirect_table(m, k, t)
+        n = G.order
+        for step in sorted({1, 5, n}):
+            for start in range(0, n + 1, step):
+                assert np.array_equal(G.rows(slice(start, start + step)), table[start : start + step]), (m, k, t)
+        picks = np.array(rng.choices(range(n), k=7))
+        assert np.array_equal(G.rows(picks), table[picks]) and G.rows(picks).dtype == np.intp, (m, k, t)
+        assert np.array_equal(G.inverse, np.nonzero(table == 0)[1]), (m, k, t)
+        assert np.array_equal(G.table, table) and not G.table.flags.writeable, (m, k, t)
 
 
 def test_builders_refuse_tables_beyond_physical_memory(monkeypatch):
@@ -405,24 +444,32 @@ def test_table_file_round_trip(tmp_path, q8_table):
 def test_cyclic_subgroup_and_normality():
     D4 = make_semidirect(4, 2, 3)
     g = find_normal_cyclic_generator(D4, 4)  # the rotations
-    sub = cyclic_subgroup(D4, g)
-    assert len(sub) == 4 and is_normal(D4, sub)
+    S, _, _ = _right_cosets(D4, g, 4)
+    assert S[:, 0].tolist() == [0, 2, 4, 6]
+    with pytest.raises(WrongSubgroupOrder):
+        _right_cosets(D4, g, 2)
 
     S3 = make_semidirect(3, 2, 2)
-    assert len(cyclic_subgroup(S3, find_normal_cyclic_generator(S3, 3))) == 3
+    assert len(_right_cosets(S3, find_normal_cyclic_generator(S3, 3), 3)[0]) == 3
     for order in (2, 6):  # the order-2 subgroups are not normal; S3 is not cyclic
         with pytest.raises(WrongSubgroupOrder):
             find_normal_cyclic_generator(S3, order)
 
 
 def test_coset_reps_tile_the_group():
-    D4 = make_semidirect(4, 2, 3)
-    g = find_normal_cyclic_generator(D4, 4)
-    H = cyclic_subgroup(D4, g)
-    reps = coset_reps(D4, H)
-    assert reps[0] == 0
-    covered = {D4.mul(x, r) for r in reps for x in H}
-    assert covered == set(D4.elements())
+    for G, order in [(make_semidirect(4, 2, 3), 4), (make_semidirect(27, 6, 10), 27),
+                     (make_from_table(_relabelling(random.Random(16), _dicyclic_table(4))), 8)]:
+        g = find_normal_cyclic_generator(G, order)
+        S, reps, t = _right_cosets(G, g, order)
+        # the representatives are the least element of each right coset <g> x, found greedily
+        greedy, covered = [], set()
+        for x in G.elements():
+            if x not in covered:
+                greedy.append(x)
+                covered.update(G.mul(s, x) for s in S[:, 0].tolist())
+        assert reps.tolist() == greedy and reps[0] == 0
+        assert sorted(S[:, reps].ravel().tolist()) == list(G.elements())
+        assert [S[:, 0].tolist().index(G.mul(G.mul(r, g), G.inv(r))) for r in reps.tolist()] == t.tolist()
 
 
 @pytest.mark.parametrize("factors", [[4], [2, 2], [8], [3, 3], [2, 4], [2, 2, 2, 2]])

@@ -17,20 +17,6 @@ def run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_block_sweep_runs():
-    proc = run_script("block_sweep.py", "--max-n", "16")
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 17  # header and n = 1..16
-
-
-def test_build_gallery_verifies_every_entry():
-    proc = run_script("build_gallery.py")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 8 and all("rows=True ring=True" in ln for ln in lines)
-    assert "False" not in proc.stdout
-
-
 def test_coldstart_compares_one_round():
     src = str(ROOT / "src")
     proc = run_script("coldstart.py", src, src, "--rounds", "1", "--importtime")

@@ -19,13 +19,13 @@ from butson.construct import (
 from butson.errors import NonUnimodular
 from butson.groups import (
     GroupRingElt, Unimodular, as_unimodular, make_abelian, make_cyclic, make_from_table, make_semidirect,
-    unimodular_products,
 )
 from butson.cyclotomic import CycInt, is_zero
 from butson.verify import BhMatrix, invariance_witness, materialize, verify_bh, verify_group_ring
 
 from oracles import (
-    autocorrelation, coeffs, gr_conj_inv, gr_mul, integer, verify_by_characters, verify_by_gr_mul, with_entry,
+    autocorrelation, coeffs, gr_conj_inv, gr_mul, integer, unimodular_products, verify_by_characters, verify_by_gr_mul,
+    with_entry,
 )
 
 
@@ -389,8 +389,8 @@ def test_verify_perfect_builds_no_cayley_table(monkeypatch, instance_gallery):
     blocks = []
     rows = groups.FiniteGroup.rows
 
-    def spy(G, start, stop):
-        block = rows(G, start, stop)
+    def spy(G, r):
+        block = rows(G, r)
         blocks.append(len(block))
         return block
 
