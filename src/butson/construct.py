@@ -124,7 +124,7 @@ def construct_group_bh(
     if len(reps) != k:
         raise SelfCheckFailed(f"{len(reps)} coset representatives for {k} blocks")
     deal = deal_blocks(t, k)
-    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))])
+    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))], dtype=np.int64)  # scaled by h / h0 below
     # entry j of the block dealt to coset a is the coefficient of g^j r_a, g the generator
     e = np.zeros(n, dtype=np.int64)
     e[S[:, reps]] = B[deal].T * (h // h0)
@@ -147,7 +147,7 @@ def _right_cosets(G: FiniteGroup, g: int, order: int) -> tuple[np.ndarray, np.nd
     if len(powers) != order:
         raise WrongSubgroupOrder(f"need a cyclic subgroup of order {order}, got order {len(powers)}")
     S = G.rows(powers)
-    reps = np.unique(S.min(axis=0))
+    reps = np.flatnonzero(np.bincount(S.min(axis=0), minlength=G.order))  # np.unique would load numpy.ma
     rg = G.inverse[S[-1, G.inverse[reps]]]  # r g, as S[-1, r^(-1)] = g^(-1) r^(-1) = (r g)^(-1)
     hits = S[:, reps] == rg
     if not hits.any(axis=0).all():

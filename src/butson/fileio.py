@@ -20,15 +20,15 @@ Table paths are resolved relative to the matrix file's directory.  A header
 has exactly the keys shown, none repeated, and an h whose h x h reduction
 matrix would not fit in physical memory is refused (`TooLarge`) before any
 array is built.  All three bodies must be ASCII integer tokens and are
-parsed by numpy (a table's row count is checked first), and both writers
-gather the strings of 0..h-1 over an int array and join its lines one row
-block (`groups.row_slices`) at a time.
+parsed by numpy (a table's row count is checked first), exponents straight
+into `groups.exponent_dtype(h)`, and both writers gather the strings of
+0..h-1 over an exponent array and join its lines one row block
+(`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ButsonError, NotAGroup, _check_fits
-from .groups import FiniteGroup, _frozen, make_abelian, make_cyclic, make_from_table, make_semidirect, row_slices
+from .groups import (FiniteGroup, _exponents, _frozen, exponent_dtype, make_abelian, make_cyclic, make_from_table,
+                     make_semidirect, row_slices)
 from .verify import BhMatrix
 
 if TYPE_CHECKING:  # of the array code, only read_array needs `arrays` at run time
@@ -113,18 +114,29 @@ def format_matrix(M: BhMatrix) -> str:
     return _format([f"bh h={M.h} order={M.group.order}", M.group.descriptor], M.E, M.h)
 
 
-def _integers(lines: list[str]) -> np.ndarray | None:
+def _integers(lines: list[str], h: int | None = None) -> np.ndarray | None:
     """Lines of ASCII integer tokens as int64 rows, else None; ragged rows raise ValueError.
 
-    No lines give a (0, 0) array.
+    With h, exponents mod h in `exponent_dtype(h)`, parsed straight into it
+    unless a token is out of its range (-1 or 300 for uint8).  No lines give
+    a (0, 0) array.
     """
     # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
-    # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text
+    # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text.
+    # Each line is checked alone: the joined and encoded body would be two more copies
     if not lines:
-        return np.zeros((0, 0), dtype=np.int64)
-    if all(re.fullmatch(r"[-+0-9 \t]*", ln) for ln in lines):
-        return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-    return None
+        return np.zeros((0, 0), dtype=np.int64 if h is None else exponent_dtype(h))
+    if any(ln.encode().translate(None, b"-+0123456789 \t") for ln in lines):
+        return None
+    try:
+        E = np.loadtxt(lines, dtype=np.int64 if h is None else exponent_dtype(h), comments=None, ndmin=2)
+    except ValueError:  # out of range: read as int64 and reduced; ragged rows raise again there
+        if h is None:
+            raise
+        return _exponents(np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2), h)
+    if h is not None and E.size and E.max() >= h:
+        E %= h  # in place: h <= E.max() fits E's dtype
+    return E
 
 
 def _read_cayley_table(path: Path) -> np.ndarray:
@@ -158,7 +170,7 @@ def read_matrix(path: str | Path) -> BhMatrix:
     with _reading(path):
         order = int(order)
         spec, body = lines[0], lines[1:]
-        E = _integers(body) if len(body) == order else None
+        E = _integers(body, h) if len(body) == order else None
     group = parse_group_spec(spec, base_dir=path.parent)
     if group.order != order:
         raise ButsonError(f"{path}: order header disagrees with the group")
@@ -179,7 +191,7 @@ def read_array(path: str | Path) -> PerfectArray:
     h, dims, lines = _read_file(path, "array", "an array", "dims")
     with _reading(path):
         dims = tuple(int(x) for x in dims.split(","))
-        flat = _integers([" ".join(lines)] if lines else [])  # entries may wrap anywhere
+        flat = _integers([" ".join(lines)] if lines else [], h)  # entries may wrap anywhere
     if flat is None or flat.size != math.prod(dims):
         raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
-    return PerfectArray(dims, h, flat)
+    return PerfectArray(dims, h, _frozen(flat))

@@ -15,8 +15,9 @@ never do.  `mul` and `inv` return Python ints.
 unit in which matrices are filled, checked and written.
 
 A group-ring element with one h-th root of unity per element, which is what
-every construction builds, is a `Unimodular`: one read-only (order,) int64
-exponent vector `e` mod h, passed from constructor to array file with no
+every construction builds, is a `Unimodular`: one read-only (order,)
+exponent vector `e` mod h of dtype `exponent_dtype(h)`, like `BhMatrix.E`
+and `PerfectArray.E`, passed from constructor to array file with no
 conversion.  It is the one element type of the library.  `GroupRingElt`, a
 tuple of `CycInt` coefficients, is kept for the benchmark's checker, and
 `as_unimodular` converts it; the group-ring arithmetic and the characters
@@ -239,18 +240,29 @@ class GroupRingElt:
         return None if None in out else out
 
 
+def exponent_dtype(h: int) -> np.dtype:
+    """The narrowest unsigned type that holds 0..h-1: the dtype of every exponent array."""
+    return np.min_scalar_type(h - 1)
+
+
+def _exponents(a, h: int) -> np.ndarray:
+    """a if read-only, of exponent_dtype(h) and in 0..h-1; else a mod h in a new such array."""
+    if isinstance(a, np.ndarray) and a.dtype == exponent_dtype(h) and not a.flags.writeable and (
+            not a.size or a.max() < h):
+        return a
+    return _frozen((np.asarray(a, dtype=np.int64) % h).astype(exponent_dtype(h)))
+
+
 @dataclass(frozen=True, eq=False)
 class Unimodular:
-    """D = sum_g zeta_h^e[g] g; e is read-only (order,) int64 mod h, like BhMatrix.E."""
+    """D = sum_g zeta_h^e[g] g; e is read-only (order,) exponent_dtype(h) mod h, like BhMatrix.E."""
 
     group: FiniteGroup
     h: int
     e: np.ndarray
 
     def __post_init__(self) -> None:
-        e = (np.asarray(self.e, dtype=np.int64) % self.h).reshape(self.group.order)
-        e.flags.writeable = False
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", _frozen(_exponents(self.e, self.h).reshape(self.group.order)))
 
 
 def as_unimodular(D: "Unimodular | GroupRingElt") -> Unimodular | None:
@@ -282,7 +294,7 @@ def difference_histograms(X: np.ndarray, Y: np.ndarray, h: int) -> np.ndarray:
     """
     p, q = len(X), len(Y)
     # X - Y + h lies in 1..2h-1, and bins t and t + h hold the same power of
-    # zeta_h: folding them spares a modulo of every cell
+    # zeta_h: folding them spares a modulo of every cell; int64 cells promote unsigned X and Y
     cells = (np.arange(p * q) * 2 * h + h).reshape(p, q, 1) - Y
     cells += X[:, None]
     hist = np.bincount(cells.ravel(), minlength=p * q * 2 * h).reshape(p, q, 2 * h)

@@ -1,10 +1,11 @@
 """Materialization and exact verification of Butson Hadamard matrices.
 
-`BhMatrix` holds one read-only (n, n) int64 array `E` mod h, which
-`materialize`, `fileio` and the verifiers share without a copy.  It keeps
-an array that is already read-only int64 in 0..h-1, as `materialize` and
-`read_matrix` hand it one, and reduces anything else into an array of its
-own, so a caller's array is never frozen.  `materialize` fills E, and
+`BhMatrix` holds one read-only (n, n) array `E` mod h of dtype
+`groups.exponent_dtype(h)`, which `materialize`, `fileio` and the verifiers
+share without a copy.  It keeps an array already of that dtype, read-only
+and in 0..h-1, as `materialize` and `read_matrix` hand it one, and reduces
+anything else into an array of its own, so a caller's array is never
+frozen.  `materialize` fills E in the dtype of the element's `e`, and
 `invariance_witness` checks it, in row blocks (`groups.row_slices`), each
 gathered from `FiniteGroup.rows` and `inverse`: no Cayley table and no
 temporary of E's size.
@@ -32,29 +33,25 @@ import numpy as np
 
 from .cyclotomic import zero_rows
 from .errors import NonUnimodular
-from .groups import (CHUNK_CELLS, FiniteGroup, GroupRingElt, Unimodular, _frozen, as_unimodular,
+from .groups import (CHUNK_CELLS, FiniteGroup, GroupRingElt, Unimodular, _exponents, _frozen, as_unimodular,
                      difference_histograms, row_slices)
 
 
 @dataclass(frozen=True, eq=False)
 class BhMatrix:
-    """Entry (g, k) is zeta_h^E[g, k]; E is read-only int64 mod h, like a table."""
+    """Entry (g, k) is zeta_h^E[g, k]; E is read-only exponent_dtype(h) mod h, like a table."""
 
     h: int
     group: FiniteGroup
     E: np.ndarray
 
     def __post_init__(self) -> None:
-        E = self.E
-        # a read-only int64 array in 0..h-1 is kept; anything else is reduced into a new one
-        if not (isinstance(E, np.ndarray) and E.dtype == np.int64 and not E.flags.writeable
-                and (not E.size or 0 <= E.min() and E.max() < self.h)):
-            object.__setattr__(self, "E", _frozen(np.asarray(E, dtype=np.int64) % self.h))
+        object.__setattr__(self, "E", _exponents(self.E, self.h))
 
     @property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """E as tuples of ints, kept only for bench/workloads.py and tests that compare tuples."""
-        return tuple(map(tuple, self.E.tolist()))
+        """E as tuples of ints, one row at a time, kept only for bench/workloads.py and tests that compare tuples."""
+        return tuple(tuple(row.tolist()) for row in self.E)
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def materialize(G: FiniteGroup, D: Unimodular | GroupRingElt) -> BhMatrix:
     U = as_unimodular(D)
     if U is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
-    E = np.empty((G.order, G.order), dtype=np.int64)
+    E = np.empty((G.order, G.order), dtype=U.e.dtype)
     for block in row_slices(G.order, G.order):  # cell (g, k) of a block is e[g k^(-1)]
         E[block] = U.e[G.rows(block)[:, G.inverse]]
     return BhMatrix(U.h, G, _frozen(E))

@@ -283,14 +283,14 @@ def block_defect(blocks: list[Unimodular], n: int) -> str | None:
 
 def with_entry(M: BhMatrix, row: int, col: int, e: int) -> BhMatrix:
     E = M.E.copy()
-    E[row, col] = e % M.h
+    E[row, col] = int(e) % M.h  # a narrow numpy e % h raises when h does not fit e's dtype
     return BhMatrix(M.h, M.group, E)
 
 
 def autocorrelation(A: PerfectArray, shift) -> CycInt:
     """Exact cyclic autocorrelation sum a_i * conj(a_{i+shift}) as a CycInt."""
     shift = tuple(int(s) % d for s, d in zip(shift, A.dims))
-    t = A.E
+    t = A.E.astype(np.int64)  # unsigned exponents would wrap on subtraction
     shifted = np.roll(t, tuple(-s for s in shift), axis=tuple(range(len(A.dims))))
     hist = np.bincount(((t - shifted) % A.h).ravel(), minlength=A.h)
     return CycInt(A.h, tuple(int(c) for c in hist))

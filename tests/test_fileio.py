@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from butson import fileio
 from butson.arrays import PerfectArray, verify_perfect
+from butson.construct import block_count, construct_group_bh, find_normal_cyclic_generator, min_h
 from butson.errors import ButsonError, NotAGroup
-from butson.groups import GroupRingElt, make_abelian, make_cyclic
+from butson.groups import GroupRingElt, exponent_dtype, make_abelian, make_cyclic
 from butson.verify import BhMatrix, materialize, verify_bh
 
 from conftest import quaternion_table
@@ -36,7 +38,8 @@ def test_matrix_round_trip(tmp_path):
     path.write_text(fileio.format_matrix(M))
     back = fileio.read_matrix(path)
     assert back.h == M.h and back.exponents == M.exponents
-    assert back.E.dtype == M.E.dtype == np.int64 and not back.E.flags.writeable and not M.E.flags.writeable
+    assert back.E.dtype == M.E.dtype == exponent_dtype(M.h) == np.uint8
+    assert not back.E.flags.writeable and not M.E.flags.writeable
     assert same_as(back.group, M.group)
     assert verify_bh(back).ok
 
@@ -250,6 +253,45 @@ def test_non_ascii_body_exits_2_without_crashing(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "butson.cli", "verify", str(path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stderr.startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("h, dtype, fitting, wide", [
+    (3, np.uint8, "0 +2 7 255 3 4 +0 5 1", "-1 +2 300 3 7 -0 255 256 -300"),
+    (300, np.uint16, "0 +2 300 65535 299 4 +0 601 1", "-1 +2 300 70000 -300 7 65536 299 -70000"),
+])
+def test_tokens_read_mod_h_into_the_narrow_dtype(tmp_path, h, dtype, fitting, wide):
+    # a body whose tokens all fit the narrow dtype is parsed into it; -1, 300 into
+    # uint8 or 70000 into uint16 send it through int64, reduced mod h as before
+    for tokens in (fitting, wide):
+        rows = [" ".join(tokens.split()[i : i + 3]) for i in range(0, 9, 3)]
+        want = [int(x) % h for x in tokens.split()]
+        (tmp_path / "m.bh").write_text("\n".join([f"bh h={h} order=3", "cyclic 3", *rows]) + "\n")
+        (tmp_path / "a.arr").write_text("\n".join([f"array h={h} dims=3,3", *rows]) + "\n")
+        M, A = fileio.read_matrix(tmp_path / "m.bh"), fileio.read_array(tmp_path / "a.arr")
+        for E in (M.E, A.E):
+            assert E.dtype == exponent_dtype(h) == dtype and not E.flags.writeable, tokens
+            assert E.ravel().tolist() == want, tokens
+
+
+def test_reader_and_writer_memory_at_order_1024(tmp_path):
+    # order 1024, h = 32: with int64 exponents the reader peaked at 11.7 MiB and
+    # materialize plus the writer at 13.3 MiB; one byte per entry halves both
+    G = make_cyclic(1024)
+    D = construct_group_bh(G, find_normal_cyclic_generator(G, 1024 // block_count(1024, min_h(1024))), 32)
+    path = tmp_path / "c1024.bh"
+    tracemalloc.start()
+    try:
+        text = fileio.format_matrix(materialize(G, D))
+        write_peak = tracemalloc.get_traced_memory()[1]
+        path.write_text(text)
+        del text
+        tracemalloc.reset_peak()
+        M = fileio.read_matrix(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.E.dtype == np.uint8 and M.E.shape == (1024, 1024)
+    assert write_peak < 7 << 20 and read_peak < 6 << 20, (write_peak, read_peak)
 
 
 def test_writers_match_str_join_reference():

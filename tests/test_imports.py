@@ -134,6 +134,21 @@ def test_each_command_imports_only_the_modules_it_runs(command, files):
     assert set(result[3:]) == {f"butson.{m}" for m in modules}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--order", "118", "--h", "236"], ["--group", "semidirect:16,4,15", "--order", "64", "--h", "8"],
+])
+def test_construct_group_loads_no_numpy_ma(argv, tmp_path):
+    # np.unique loads numpy.ma (numpy 2.4: _unique1d calls np.ma.is_masked)
+    argv = ["construct", "group", *argv, "--out", str(tmp_path / "g.bh")]
+    out = python(
+        "import sys\n"
+        "from butson.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('RESULT', code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    assert out[out.index("RESULT") + 1:] == ["0", "True", "False"]
+
+
 def test_main_ends_the_process_only_for_the_process_command_line():
     argv = _COMMANDS["ring-info"][0]
     out = python(

@@ -18,7 +18,8 @@ from butson.construct import (
 )
 from butson.errors import NonUnimodular
 from butson.groups import (
-    GroupRingElt, Unimodular, as_unimodular, make_abelian, make_cyclic, make_from_table, make_semidirect,
+    GroupRingElt, Unimodular, as_unimodular, exponent_dtype, make_abelian, make_cyclic, make_from_table,
+    make_semidirect,
 )
 from butson.cyclotomic import CycInt, is_zero
 from butson.verify import BhMatrix, invariance_witness, materialize, verify_bh, verify_group_ring
@@ -67,23 +68,24 @@ def test_bh_matrix_holds_one_read_only_reduced_array():
     G = make_cyclic(2)
     rows = [[0, -1], [5, 2]]
     M = BhMatrix(4, G, rows)
-    assert M.E.dtype == np.int64 and not M.E.flags.writeable
+    assert M.E.dtype == exponent_dtype(4) == np.uint8 and not M.E.flags.writeable
     assert M.E.tolist() == [[0, 3], [1, 2]]
     assert M.exponents == ((0, 3), (1, 2))
     assert all(type(e) is int for row in M.exponents for e in row)
     src = np.array(rows)
     assert BhMatrix(4, G, src).E.tolist() == [[0, 3], [1, 2]]
     assert src.flags.writeable and src.tolist() == rows  # the caller's array is untouched
-    writable, narrow = np.array([[0, 3], [1, 2]]), np.array([[0, 3], [1, 2]], dtype=np.int32)
-    narrow.flags.writeable = False
-    for A in (writable, narrow):  # writable, or not int64: copied, never frozen in place
+    writable, wide = np.array([[0, 3], [1, 2]], dtype=np.uint8), np.array([[0, 3], [1, 2]])
+    wide.flags.writeable = False
+    for A in (writable, wide):  # writable, or not of the rule's dtype: copied, never frozen in place
         E = BhMatrix(4, G, A).E
-        assert E is not A and E.dtype == np.int64 and not E.flags.writeable
+        assert E is not A and E.dtype == np.uint8 and not E.flags.writeable
     assert writable.flags.writeable
-    A = np.array([[0, 3], [1, 2]])
+    A = np.array([[0, 3], [1, 2]], dtype=np.uint8)
     A.flags.writeable = False
-    assert BhMatrix(4, G, A).E is A  # read-only, int64 and in range: kept as is
+    assert BhMatrix(4, G, A).E is A  # read-only, of the rule's dtype and in range: kept as is
     assert BhMatrix(3, G, A).E.tolist() == [[0, 0], [1, 2]]  # 3 is out of range for h = 3
+    assert BhMatrix(300, G, A).E.dtype == exponent_dtype(300) == np.uint16  # h - 1 needs two bytes
     bad = with_entry(M, 0, 1, 6)
     assert bad.E.tolist() == [[0, 2], [1, 2]] and M.E.tolist() == [[0, 3], [1, 2]]
     assert not bad.E.flags.writeable
@@ -412,3 +414,60 @@ def test_a_defect_in_the_first_batch_ends_the_check(monkeypatch, instance_galler
     assert verify.correlation_defects(make_abelian(A.dims), A.h, mutant.E.ravel())[0] < 1 + step
     calls.clear()
     assert not arrays.verify_perfect(mutant) and len(calls) == 1
+
+
+def _as_int64(x, name):
+    """x with its exponent array `name` as int64, the dtype before the narrow rule.
+
+    The constructors reduce int64 into the narrow dtype, so the array is set
+    past them: the kernels then run on int64 exponents as they used to.
+    """
+    wide = getattr(x, name).astype(np.int64)
+    wide.flags.writeable = False
+    object.__setattr__(x, name, wide)
+    return x
+
+
+def _fields(report):
+    return report.is_bh, report.is_invariant, report.first_failure, report.pairs_checked
+
+
+@pytest.fixture(scope="module")
+def dtype_cases(instance_gallery):
+    """The gallery, plus h = 256 (uint8 up to 255), 260 (uint16) and 512 (block exponents times 256)."""
+    extra = []
+    for G, h in [(make_semidirect(4, 2, 3), 256), (make_cyclic(16), 260), (make_cyclic(4), 512)]:
+        gen = find_normal_cyclic_generator(G, G.order // block_count(G.order, min_h(G.order)))
+        extra.append((f"{G.descriptor}-h{h}", construct_group_bh(G, gen, h)))
+    return list(instance_gallery) + extra
+
+
+def test_narrow_and_int64_exponents_give_equal_reports(dtype_cases):
+    rng = random.Random(19)
+    for name, D in dtype_cases:
+        D, n = as_unimodular(D), D.group.order
+        assert D.e.dtype == exponent_dtype(D.h), name
+        M = materialize(D.group, D)
+        elements = [D, *map(as_unimodular, _coefficient_mutants(D, rng, 2))]
+        matrices = [materialize(D.group, U) for U in elements]
+        r, c = rng.randrange(n), rng.randrange(n)
+        matrices.append(with_entry(M, r, c, int(M.E[r, c]) + rng.randrange(1, D.h)))
+        for i, U in enumerate(elements):
+            wide = Unimodular(D.group, D.h, U.e.astype(np.int64))
+            assert np.array_equal(wide.e, U.e) and wide.e.dtype == U.e.dtype, name
+            defects = verify.correlation_defects(D.group, D.h, U.e)
+            assert np.array_equal(verify.correlation_defects(D.group, D.h, U.e.astype(np.int64)), defects), name
+            assert verify_group_ring(U) == verify_group_ring(_as_int64(wide, "e")) == (i == 0), name
+            if D.group.abelian_factors is not None:
+                A = to_array(U)
+                B = PerfectArray(A.dims, A.h, A.E.astype(np.int64))
+                assert B.E.dtype == A.E.dtype, name
+                assert verify_perfect(A) == verify_perfect(_as_int64(B, "E")) == (i == 0), name
+        for i, X in enumerate(matrices):
+            wide = BhMatrix(X.h, X.group, X.E.astype(np.int64))
+            assert np.array_equal(wide.E, X.E) and wide.E.dtype == X.E.dtype, name
+            _as_int64(wide, "E")
+            for full in (False, True):
+                report = verify_bh(X, full=full)
+                assert _fields(report) == _fields(verify_bh(wide, full=full)), (name, full)
+                assert report.ok == (i == 0), (name, full)
