@@ -25,6 +25,15 @@ from .verify import verify_group_ring
 MAX_AXES = 64
 
 
+def check_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """dims, if an array may have them: at most MAX_AXES axes, each of length at least 1."""
+    if len(dims) > MAX_AXES:
+        raise InvalidParams(f"an array has at most {MAX_AXES} axes (numpy's limit), got {len(dims)}")
+    if min(dims) < 1:
+        raise InvalidParams(f"every dimension must be positive, got dims={dims}")
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class PerfectArray:
     """Entry x is zeta_h^E[x]; E is read-only exponent_dtype(h) mod h, shaped dims."""
@@ -34,10 +43,7 @@ class PerfectArray:
     E: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.dims) > MAX_AXES:
-            raise InvalidParams(f"an array has at most {MAX_AXES} axes (numpy's limit), got {len(self.dims)}")
-        if min(self.dims) < 1:
-            raise InvalidParams(f"every dimension must be positive, got dims={self.dims}")
+        check_dims(self.dims)
         object.__setattr__(self, "E", _frozen(_exponents(self.E, self.h).reshape(self.dims)))
 
     def with_entry(self, flat_index: int, e: int) -> "PerfectArray":

@@ -18,25 +18,29 @@ Table file::
 
 Table paths are resolved relative to the matrix file's directory.  A header
 has exactly the keys shown, none repeated, and an h whose h x h reduction
-matrix would not fit in physical memory is refused (`TooLarge`) before any
-array is built.  All three bodies must be ASCII integer tokens and are
-parsed by numpy (a table's row count is checked first), exponents straight
-into `groups.exponent_dtype(h)`, and both writers gather the strings of
-0..h-1 over an exponent array and join its lines one row block
-(`groups.row_slices`) at a time.
+matrix would not fit in physical memory is refused (`TooLarge`); all of it,
+a matrix's group and order too, is checked before the body is read.  A body
+is what the writers emit, rows of unsigned decimals (exponents below h) split
+by spaces or tabs, one row per LF or CRLF line, blank lines skipped; anything
+else is malformed.  Its lines stream from the open file through one byte
+guard into one `np.loadtxt` call, in `groups.exponent_dtype(h)` (`np.intp`
+for a table).  Both writers gather the strings of 0..h-1 over an exponent
+array and join its lines one row block (`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ButsonError, NotAGroup, _check_fits
-from .groups import (FiniteGroup, _exponents, _frozen, exponent_dtype, make_abelian, make_cyclic, make_from_table,
+from .groups import (FiniteGroup, _frozen, exponent_dtype, make_abelian, make_cyclic, make_from_table,
                      make_semidirect, row_slices)
 from .verify import BhMatrix
 
@@ -46,31 +50,57 @@ if TYPE_CHECKING:  # of the array code, only read_array needs `arrays` at run ti
 
 @contextmanager
 def _reading(path: Path):
-    """Report an unreadable or malformed file as a ButsonError naming it."""
+    """The file at `path`, open in binary mode; an unreadable or malformed one is a ButsonError naming it."""
     try:
-        yield
+        with path.open("rb") as f:
+            yield f
     except OSError as exc:
         raise ButsonError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError) as exc:
         raise ButsonError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None
 
 
-def _read_file(path: Path, tag: str, what: str, key: str) -> tuple[int, str, list[str]]:
-    """h, the value of the header's one other key and the non-blank body lines of a data file."""
-    with _reading(path):
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines or lines[0].split()[0] != tag:
-            raise ButsonError(f"{path}: not {what} file")
-        pairs = [kv.split("=") for kv in lines[0].split()[1:]]
-        if len(fields := dict(pairs)) != len(pairs):
-            raise ButsonError(f"{path}: repeated header key")
-        if unknown := sorted(fields.keys() - {"h", key}):
-            raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
-        h, value = int(fields["h"]), fields[key]
+def _next_line(lines: Iterator[bytes]) -> bytes:
+    """The next line that is not blank (spaces and tabs before a line end, as np.loadtxt skips), or b""."""
+    return next((ln for ln in lines if ln.strip(b" \t") not in (b"", b"\n", b"\r\n", b"\r")), b"")
+
+
+def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str) -> tuple[int, str]:
+    """h and the value of the one other key of a data file's header line."""
+    words = _next_line(lines).decode().split()
+    if words[:1] != [tag]:
+        raise ButsonError(f"{path}: not {what} file")
+    pairs = [kv.split("=") for kv in words[1:]]
+    if len(fields := dict(pairs)) != len(pairs):
+        raise ButsonError(f"{path}: repeated header key")
+    if unknown := sorted(fields.keys() - {"h", key}):
+        raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
+    h, value = int(fields["h"]), fields[key]
     if h < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")
     _check_fits(h, f"{path}: the reduction matrix for h={h}")
-    return h, value, lines[1:]
+    return h, value
+
+
+def _rows(lines: Iterator[bytes], shape: tuple[int, int], h: int | None = None) -> np.ndarray | None:
+    """The rest of a file as a `shape` array: exponents below h, or np.intp without h; else None.
+
+    numpy sees a line only past the byte guard (it would read a sign, and some
+    non-ASCII text crashes it: 2.4, U+6C696), and no body of blank lines (it
+    warns).  It refuses a lone CR, ragged rows and a token its dtype cannot hold.
+    """
+    dtype = np.intp if h is None else exponent_dtype(h)
+    if not (first := _next_line(lines)):
+        return np.zeros((0, 0), dtype) if shape == (0, 0) else None
+    # the byte guard: a line holding any other byte reaches numpy as b"x", which it refuses
+    body = (b"x" if ln.translate(None, b"0123456789 \t\r\n") else ln for ln in chain([first], lines))
+    try:
+        rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != shape or (h is not None and rows.max() >= h):
+        return None
+    return _frozen(rows)
 
 
 def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
@@ -114,69 +144,36 @@ def format_matrix(M: BhMatrix) -> str:
     return _format([f"bh h={M.h} order={M.group.order}", M.group.descriptor], M.E, M.h)
 
 
-def _integers(lines: list[str], h: int | None = None) -> np.ndarray | None:
-    """Lines of ASCII integer tokens as int64 rows, else None; ragged rows raise ValueError.
-
-    With h, exponents mod h in `exponent_dtype(h)`, parsed straight into it
-    unless a token is out of its range (-1 or 300 for uint8).  No lines give
-    a (0, 0) array.
-    """
-    # numpy sees only rows of ASCII integer tokens: it warns on no rows, some non-ASCII
-    # text crashes it (2.4: U+6C696) and older versions read "1.9" as 1; "#" is text.
-    # Each line is checked alone: the joined and encoded body would be two more copies
-    if not lines:
-        return np.zeros((0, 0), dtype=np.int64 if h is None else exponent_dtype(h))
-    if any(ln.encode().translate(None, b"-+0123456789 \t") for ln in lines):
-        return None
-    try:
-        E = np.loadtxt(lines, dtype=np.int64 if h is None else exponent_dtype(h), comments=None, ndmin=2)
-    except ValueError:  # out of range: read as int64 and reduced; ragged rows raise again there
-        if h is None:
-            raise
-        return _exponents(np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2), h)
-    if h is not None and E.size and E.max() >= h:
-        E %= h  # in place: h <= E.max() fits E's dtype
-    return E
-
-
 def _read_cayley_table(path: Path) -> np.ndarray:
     """The (n, n) body of a table file: a line 'order n', then n rows of n integers."""
-    with _reading(path):
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    head = lines[0].split() if lines else [""]
-    if not head[0].startswith("order"):
-        raise NotAGroup("cayley table file must start with 'order n'")
-    try:
-        n = int(head[1])
-    except (IndexError, ValueError):
-        raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
-    body = lines[1:]
-    if len(body) != n:
+    with _reading(path) as f:
+        head = _next_line(f).decode().split() or [""]
+        if not head[0].startswith("order"):
+            raise NotAGroup("cayley table file must start with 'order n'")
+        try:
+            n = int(head[1])
+        except (IndexError, ValueError):
+            raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
+        if (rows := _rows(f, (n, n))) is not None:
+            return rows
+    with _reading(path) as f:  # read again only to choose the message
+        counts = [c for ln in f if (c := len(ln.split()))][1:]  # tokens per line below the header
+    if len(counts) != n or set(counts) - {n}:
         raise NotAGroup(f"expected {n} rows of {n} entries")
-    try:
-        rows = _integers(body)
-    except ValueError:  # rows of unequal length, or a token that is no int64
-        rows = None
-    if rows is None or rows.shape != (n, n):
-        if {len(ln.split()) for ln in body} - {n}:
-            raise NotAGroup(f"expected {n} rows of {n} entries")
-        raise NotAGroup("cayley table needs 'order n' and rows of integers")
-    return rows
+    raise NotAGroup("cayley table needs 'order n' and rows of integers")
 
 
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
-    h, order, lines = _read_file(path, "bh", "a matrix", "order")
-    with _reading(path):
+    with _reading(path) as f:
+        h, order = _header(f, path, "bh", "a matrix", "order")
         order = int(order)
-        spec, body = lines[0], lines[1:]
-        E = _integers(body, h) if len(body) == order else None
-    group = parse_group_spec(spec, base_dir=path.parent)
-    if group.order != order:
-        raise ButsonError(f"{path}: order header disagrees with the group")
-    if E is None or E.shape != (order, order):
-        raise ButsonError(f"{path}: expected {order} rows of {order} exponents, each an integer")
-    return BhMatrix(h, group, _frozen(E))
+        group = parse_group_spec(_next_line(f).decode().strip(), base_dir=path.parent)
+        if group.order != order:
+            raise ButsonError(f"{path}: order header disagrees with the group")
+        if (E := _rows(f, (order, order), h)) is None:
+            raise ButsonError(f"{path}: expected {order} rows of {order} exponents, each an integer")
+    return BhMatrix(h, group, E)
 
 
 def format_array(A: PerfectArray) -> str:
@@ -185,13 +182,13 @@ def format_array(A: PerfectArray) -> str:
 
 
 def read_array(path: str | Path) -> PerfectArray:
-    from .arrays import PerfectArray
+    from .arrays import PerfectArray, check_dims
 
     path = Path(path)
-    h, dims, lines = _read_file(path, "array", "an array", "dims")
-    with _reading(path):
-        dims = tuple(int(x) for x in dims.split(","))
-        flat = _integers([" ".join(lines)] if lines else [], h)  # entries may wrap anywhere
-    if flat is None or flat.size != math.prod(dims):
-        raise ButsonError(f"{path}: expected {math.prod(dims)} exponents, each an integer")
-    return PerfectArray(dims, h, _frozen(flat))
+    with _reading(path) as f:
+        h, dims = _header(f, path, "array", "an array", "dims")
+        dims = check_dims(tuple(int(x) for x in dims.split(",")))
+        shape = (math.prod(dims[:-1]), dims[-1])
+        if (E := _rows(f, shape, h)) is None:
+            raise ButsonError(f"{path}: expected {shape[0]} rows of {shape[1]} exponents, each an integer")
+    return PerfectArray(dims, h, E)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from butson import fileio
 from butson.arrays import PerfectArray, verify_perfect
 from butson.construct import block_count, construct_group_bh, find_normal_cyclic_generator, min_h
-from butson.errors import ButsonError, NotAGroup
+from butson.errors import ButsonError, InvalidParams, NotAGroup
 from butson.groups import GroupRingElt, exponent_dtype, make_abelian, make_cyclic
 from butson.verify import BhMatrix, materialize, verify_bh
 
@@ -132,9 +132,10 @@ def test_matrix_body_text_raises_only_butson_errors(tmp_path, body):
             M = None
     assert caught == []
     if M is not None:
-        # only integer text is accepted, and it reads as its value mod h
-        want = [" ".join(str(int(x) % 3) for x in ln.split()) for ln in body.splitlines() if ln.strip()]
-        assert fileio.format_matrix(M).splitlines()[2:] == want
+        # only unsigned decimals below h are accepted, and each reads as its value
+        rows = [ln.split() for ln in body.splitlines() if ln.strip()]
+        assert all(re.fullmatch(r"[0-9]+", x) and int(x) < 3 for row in rows for x in row), body
+        assert fileio.format_matrix(M).splitlines()[2:] == [" ".join(str(int(x)) for x in row) for row in rows]
 
 
 @given(st.text(_BODY_CHARS, max_size=40) | _ROWS.map("\n".join))
@@ -150,10 +151,11 @@ def test_array_body_text_raises_only_butson_errors(tmp_path, body):
             A = None
     assert caught == []
     if A is not None:
-        # only ASCII integer tokens are accepted, wrapped anyhow across lines
-        tokens = body.split()
-        assert all(re.fullmatch(r"[-+]?[0-9]+", x) for x in tokens), body
-        assert A.E.ravel().tolist() == [int(x) % 3 for x in tokens]
+        # only lines of dims[-1] unsigned decimals below h are accepted
+        rows = [ln.split() for ln in body.splitlines() if ln.strip()]
+        assert all(len(row) == 2 for row in rows), body
+        assert all(re.fullmatch(r"[0-9]+", x) and int(x) < 3 for row in rows for x in row), body
+        assert A.E.ravel().tolist() == [int(x) for row in rows for x in row]
 
 
 _HEADER_NUMS = (st.integers(-3, 12) | st.integers(2**40, 2**300) | st.integers(-2**300, -2**40)).map(str)
@@ -237,10 +239,14 @@ def test_table_file_errors_name_the_file(tmp_path, text, message):
         fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
 
 
-def test_table_file_body_may_carry_signs_tabs_and_blank_lines(tmp_path):
-    (tmp_path / "t.txt").write_text("  order 3\n\n+0 1\t2\n1 2 0\n\n2 0 +1\n", encoding="utf-8")
+def test_table_file_body_may_carry_tabs_and_blank_lines(tmp_path):
+    (tmp_path / "t.txt").write_text("  order 3\n\n0 1\t2\n1 2 0\n \t\n2 0 1\n", encoding="utf-8")
     G = fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
     assert same_as(G, make_cyclic(3)) and G.descriptor == "table t.txt"
+    # entries are unsigned decimals, as the program writes them: a sign is malformed
+    (tmp_path / "t.txt").write_text("order 3\n+0 1 2\n1 2 0\n2 0 +1\n", encoding="utf-8")
+    with pytest.raises(NotAGroup, match="needs 'order n' and rows of integers"):
+        fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
 
 
 def test_non_ascii_body_exits_2_without_crashing(tmp_path):
@@ -255,27 +261,32 @@ def test_non_ascii_body_exits_2_without_crashing(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error:"), proc.stderr
 
 
-@pytest.mark.parametrize("h, dtype, fitting, wide", [
-    (3, np.uint8, "0 +2 7 255 3 4 +0 5 1", "-1 +2 300 3 7 -0 255 256 -300"),
-    (300, np.uint16, "0 +2 300 65535 299 4 +0 601 1", "-1 +2 300 70000 -300 7 65536 299 -70000"),
+@pytest.mark.parametrize("h, dtype, tokens", [
+    (3, np.uint8, "0 2 1 00 1 2 2 0 002"),
+    (300, np.uint16, "0 299 256 255 1 4 0 298 0299"),
 ])
-def test_tokens_read_mod_h_into_the_narrow_dtype(tmp_path, h, dtype, fitting, wide):
-    # a body whose tokens all fit the narrow dtype is parsed into it; -1, 300 into
-    # uint8 or 70000 into uint16 send it through int64, reduced mod h as before
-    for tokens in (fitting, wide):
-        rows = [" ".join(tokens.split()[i : i + 3]) for i in range(0, 9, 3)]
-        want = [int(x) % h for x in tokens.split()]
+def test_tokens_read_into_the_narrow_dtype(tmp_path, h, dtype, tokens):
+    # unsigned decimals below h are parsed straight into exponent_dtype(h); the
+    # token h fits that dtype, yet is malformed: no exponent is reduced mod h
+    for values in (tokens.split(), [*tokens.split()[:4], str(h), *tokens.split()[5:]]):
+        rows = [" ".join(values[i : i + 3]) for i in range(0, 9, 3)]
         (tmp_path / "m.bh").write_text("\n".join([f"bh h={h} order=3", "cyclic 3", *rows]) + "\n")
         (tmp_path / "a.arr").write_text("\n".join([f"array h={h} dims=3,3", *rows]) + "\n")
-        M, A = fileio.read_matrix(tmp_path / "m.bh"), fileio.read_array(tmp_path / "a.arr")
-        for E in (M.E, A.E):
-            assert E.dtype == exponent_dtype(h) == dtype and not E.flags.writeable, tokens
-            assert E.ravel().tolist() == want, tokens
+        for read, path in ((fileio.read_matrix, tmp_path / "m.bh"), (fileio.read_array, tmp_path / "a.arr")):
+            if str(h) in values:
+                with pytest.raises(ButsonError, match="3 rows of 3 exponents, each an integer"):
+                    read(path)
+                continue
+            E = read(path).E
+            assert E.dtype == exponent_dtype(h) == dtype and not E.flags.writeable
+            assert E.ravel().tolist() == [int(x) for x in values]
 
 
 def test_reader_and_writer_memory_at_order_1024(tmp_path):
     # order 1024, h = 32: with int64 exponents the reader peaked at 11.7 MiB and
-    # materialize plus the writer at 13.3 MiB; one byte per entry halves both
+    # materialize plus the writer at 13.3 MiB; one byte per entry halves both.
+    # The reader streams the file's lines into E (1 MiB) and holds no copy of
+    # its 2.8 MB of text: a whole read of the text peaked at 5.3 MiB
     G = make_cyclic(1024)
     D = construct_group_bh(G, find_normal_cyclic_generator(G, 1024 // block_count(1024, min_h(1024))), 32)
     path = tmp_path / "c1024.bh"
@@ -291,7 +302,69 @@ def test_reader_and_writer_memory_at_order_1024(tmp_path):
     finally:
         tracemalloc.stop()
     assert M.E.dtype == np.uint8 and M.E.shape == (1024, 1024)
-    assert write_peak < 7 << 20 and read_peak < 6 << 20, (write_peak, read_peak)
+    assert write_peak < 7 << 20 and read_peak < 2 << 20, (write_peak, read_peak)
+
+
+def test_header_is_checked_before_the_body_is_read(tmp_path):
+    # a 1024-row body under a header whose order is not its group's: refused
+    # from the header, with no byte of the 2 MB body parsed
+    path = tmp_path / "m.bh"
+    path.write_text("bh h=2 order=1024\ncyclic 5\n" + ("0 " * 1023 + "0\n") * 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ButsonError, match="order header disagrees with the group"):
+            fileio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    path.write_text("array h=2 dims=0,4\n" + "x\n" * 8)
+    with pytest.raises(InvalidParams, match="every dimension must be positive"):
+        fileio.read_array(path)
+
+
+def _kind_files(tmp_path, kind, body, h):
+    """A file of `kind` holding `body` under a header of order 2, and CLI arguments that read it."""
+    header = {"matrix": f"bh h={h} order=2\ncyclic 2\n", "array": f"array h={h} dims=2,2\n", "table": "order 2\n"}
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(header[kind].encode() + body)
+    if kind == "table":  # a matrix file over the table group reads it
+        (tmp_path / "m.bh").write_text("bh h=2 order=2\ntable table.txt\n0 0\n0 1\n")
+        return path, ["verify", str(tmp_path / "m.bh")]
+    return path, ["verify-array" if kind == "array" else "verify", str(path)]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "array", "table"])
+@pytest.mark.parametrize("body", [
+    b"0 1\n1 0\n", b"0 1\r\n1 0\r\n", b"\n \n0 1\n\t\r\n\n1 0\n  \n", b"\t0\t1 \n1  \t0\n", b"0 1\n1 0",
+], ids=["lf", "crlf", "blank-lines", "tabs", "no-final-newline"])
+def test_body_grammar_accepts_what_the_writers_emit_and_blanks(tmp_path, kind, body):
+    path, _ = _kind_files(tmp_path, kind, body, 3)
+    if kind == "table":
+        assert same_as(fileio.parse_group_spec("table:table.txt", base_dir=tmp_path), make_cyclic(2))
+    else:
+        read = fileio.read_array if kind == "array" else fileio.read_matrix
+        assert read(path).E.ravel().tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "array", "table"])
+@pytest.mark.parametrize("body, h", [
+    (b"0 +1\n1 0\n", 3), (b"0 1\n-1 0\n", 3), (b"0 1\n3 0\n", 3), (b"0 1\n256 0\n", 256),
+    (b"0 1\n65536 0\n", 300), (b"0 1\r1 0\n", 3), (b"0 1\n1\r0\n", 3),
+    *((b"0 1\n1" + c + b"0\n", 3) for c in (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x00")),
+    (b"0 1 1\n0\n", 3), (b"0\n1\n1\n0\n", 3), (b"", 3), (b"\n \n", 3),
+], ids=["plus", "minus", "h", "256-uint8", "65536-uint16", "lone-cr", "lone-cr-in-row", "vt", "ff", "fs", "gs",
+        "rs", "nul", "rows-of-3-and-1", "rows-of-1", "empty", "blank"])
+def test_body_grammar_refuses_all_else_with_exit_2(tmp_path, capsys, kind, body, h):
+    from butson import cli
+
+    path, argv = _kind_files(tmp_path, kind, body, h)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and str(path) in err, err
+    assert caught == []
 
 
 def test_writers_match_str_join_reference():
