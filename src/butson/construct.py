@@ -9,6 +9,10 @@
 
 Every constructor returns a `groups.Unimodular`, one exponent per element of
 the group, and verifies it exactly before returning it.
+
+Constructions 2 and 3 take each element of R as its index, and their ring
+arithmetic is gathers from `R.add_table` and `R.mul_table` and reads of
+`R.phi` and `R.coset_chain()`.  In R x R, (x, y) is the element x |R| + y.
 """
 
 from __future__ import annotations
@@ -247,14 +251,14 @@ def find_normal_cyclic_generator(G: FiniteGroup, order: int) -> int:
 # -- construction 2: partition of R x R --------------------------------------
 
 
-def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list]:
-    """Partition R into p^t parts meeting every coset of I^(n-1) equally.
+def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list[int]]:
+    """Partition R's element indices into p^t parts meeting every coset of I^(n-1) equally.
 
     Cosets are enumerated canonically and their elements dealt round-robin;
     a seed shuffles the within-coset order to explore alternative partitions.
     """
     check_t(R, t)
-    parts: list[list] = [[] for _ in range(R.p**t)]
+    parts: list[list[int]] = [[] for _ in range(R.p**t)]
     cosets = _top_ideal_cosets(R)
     rng = random.Random(seed) if seed is not None else None
     slot = 0
@@ -274,18 +278,10 @@ def check_t(R: ChainRing, t: int) -> None:
         raise BadT(f"t must be in 1..{R.d}, got {t}")
 
 
-def _top_ideal_cosets(R: ChainRing) -> list[list]:
-    """The cosets of I^(n-1), ordered by their first element, each sorted by R.index."""
-    ideal = R.ideal_elements(R.n - 1)
-    cosets: list[list] = []
-    seen = set()
-    for x in R.elements:
-        if x in seen:
-            continue
-        coset = sorted((R.add(x, j) for j in ideal), key=R.index.get)
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
+def _top_ideal_cosets(R: ChainRing) -> list[list[int]]:
+    """The cosets of I^(n-1), ascending, ordered by their least element."""
+    S = np.sort(R.add_table[R.ideal_elements(R.n - 1)], axis=0)  # column x: the coset x + I^(n-1)
+    return S[:, S[0] == np.arange(R.size)].T.tolist()
 
 
 def _check_partition(cosets, parts, expected: int) -> None:
@@ -296,15 +292,9 @@ def _check_partition(cosets, parts, expected: int) -> None:
                 raise BadT("partition does not meet a coset of I^(n-1) evenly")
 
 
-def ring_square_group(R: ChainRing):
-    """Additive group of R x R with element index (x, y) -> idx(x)*|R|+idx(y)."""
-    G = make_abelian(R.additive_factors * 2)
-    index = R.index
-
-    def pair_index(x, y) -> int:
-        return index[x] * R.size + index[y]
-
-    return G, pair_index
+def ring_square_group(R: ChainRing) -> FiniteGroup:
+    """Additive group of R x R, in which (x, y) is the element x |R| + y."""
+    return make_abelian(R.additive_factors * 2)
 
 
 def construct_partition_bh(
@@ -317,13 +307,12 @@ def construct_partition_bh(
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
-    G, _ = ring_square_group(R)  # refuses a too-large R x R first
+    G = ring_square_group(R)  # refuses a too-large R x R first
     part_of = np.zeros(R.size, dtype=np.intp)
     for i, part in enumerate(partition_R(R, t, seed=seed)):
-        part_of[[R.index[x] for x in part]] = i
-    phi_idx = [R.index[R.phi(x)] for x in R.elements]
-    # row x of the gather holds phi(x) y for every y: the entries (x, y), at idx(x) |R| + idx(y)
-    e = np.array(etas)[part_of[R.mul_table[phi_idx]]]
+        part_of[part] = i
+    # row x of the gather holds phi(x) y for every y: the entries (x, y), at x |R| + y
+    e = np.array(etas)[part_of[R.mul_table[R.phi]]]
     return _self_checked(Unimodular(G, h, e))
 
 
@@ -337,6 +326,7 @@ class CoefficientScheme:
     eta_r covers R, mu_s covers I, delta_u covers the transversals R_1..R_(n-1),
     and gamma_v covers pi R_0..pi R_(n-2) plus the extension gamma_v = mu_v on
     pi R_(n-1), which makes the top-level equation well defined when n = 2.
+    Each dict is keyed by element index.
     """
 
     h: int
@@ -365,13 +355,12 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
 
     if R.n < 2:
         raise UnsupportedRing("the line-family construction needs chain length >= 2")
-    ring_square_group(R)  # refuses a too-large R x R before the coset chain builds R's product table
+    ring_square_group(R)  # refuses a too-large R x R before the coset chain builds R's tables
     n, q = R.n, R.p**R.d
-    chain = R.coset_chain()
+    A, T = R.add_table, R.mul_table
+    chain = [level.tolist() for level in R.coset_chain()]
     r1 = chain[1]
-    pi_chain = [
-        sorted({R.mul(R.pi, x) for x in level}, key=R.index.get) for level in chain
-    ]
+    pi_chain = [sorted(set(T[R.pi, level].tolist())) for level in chain]
 
     try:
         top = unit_sum(q + 1, h, 0)
@@ -379,10 +368,10 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
         raise NoScheme(f"no top-level split for h={h}: {exc}") from exc
     eta = 0
     delta = {u: top.exps[i] for i, u in enumerate(r1)}
-    gamma = {R.zero: top.exps[q]}
+    gamma = {0: top.exps[q]}
 
     def children(node, level):
-        return [R.add(node, R.mul(R.pow_pi(level), s)) for s in r1]
+        return A[node, T[R.pi_powers[level], r1]].tolist()
 
     def refine_internal(values: dict, nodes, level: int, step: int) -> None:
         # siblings of the node itself must carry a vanishing sum
@@ -407,23 +396,21 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
         refine_internal(gamma, pi_chain[j], j, 1)
 
     # leaves: eta_r on cosets u + I^(n-1), mu_s on cosets v + I^(n-1)
-    ideal_min = sorted(R.ideal_elements(n - 1), key=R.index.get)
+    ideal_min = R.ideal_elements(n - 1)
     eta_r: dict = {}
     for u in chain[n - 1]:
         try:
             w = unit_sum(q, h, delta[u])
         except NoSolution as exc:
             raise NoScheme(f"no unit sum of length {q} for h={h}: {exc}") from exc
-        for idx, j in enumerate(ideal_min):
-            eta_r[R.add(u, j)] = w.exps[idx]
+        eta_r.update(zip(A[u, ideal_min].tolist(), w.exps))
     mu_s: dict = {}
     for v in pi_chain[n - 2]:
         try:
             w = unit_sum(q, h, gamma[v])
         except NoSolution as exc:
             raise NoScheme(f"no unit sum of length {q} for h={h}: {exc}") from exc
-        for idx, j in enumerate(ideal_min):
-            mu_s[R.add(v, j)] = w.exps[idx]
+        mu_s.update(zip(A[v, ideal_min].tolist(), w.exps))
 
     scheme = CoefficientScheme(h, eta, eta_r, delta, mu_s, gamma)
     _check_scheme(R, scheme, chain, pi_chain)
@@ -432,7 +419,7 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
 
 def _check_scheme(R: ChainRing, s: CoefficientScheme, chain, pi_chain) -> None:
     """Re-verify every instance of the three equation families by is_zero."""
-    h, n = s.h, R.n
+    h, n, A = s.h, R.n, R.add_table
 
     def root(e):
         return CycInt.root(h, e)
@@ -441,16 +428,16 @@ def _check_scheme(R: ChainRing, s: CoefficientScheme, chain, pi_chain) -> None:
         ideal = R.ideal_elements(i)
         for u in chain[i]:
             acc = CycInt.zero(h)
-            for j in ideal:
-                acc = acc + root(s.eta_r[R.add(u, j)])
+            for x in A[u, ideal].tolist():
+                acc = acc + root(s.eta_r[x])
             if not is_zero(acc - root(s.delta_u[u])):
                 raise NoScheme(f"first-family equation fails at level {i}")
     for j in range(0, n - 1):
         ideal = R.ideal_elements(j + 1)
         for v in pi_chain[j]:
             acc = CycInt.zero(h)
-            for w in ideal:
-                acc = acc + root(s.mu_s[R.add(v, w)])
+            for x in A[v, ideal].tolist():
+                acc = acc + root(s.mu_s[x])
             if not is_zero(acc - root(s.gamma_extended(v))):
                 raise NoScheme(f"second-family equation fails at level {j}")
     acc = CycInt.zero(h)
@@ -466,17 +453,15 @@ def _check_scheme(R: ChainRing, s: CoefficientScheme, chain, pi_chain) -> None:
 def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> Unimodular:
     """BH element over (R x R, +) from the weighted line family."""
     h = scheme.h
-    G, pair_index = ring_square_group(R)
+    G = ring_square_group(R)
     n, T = R.size, R.mul_table
     x = np.arange(n)[:, None]
-    I = [R.index[r] for r in scheme.eta_r]
-    J = [R.index[s] for s in scheme.mu_s]
     # column r of the product table holds x r for every x: the cells (x, x r), then (x s, x)
-    cells = np.concatenate([x * n + T[:, I], T[:, J] * n + x], axis=1)
+    cells = np.concatenate([x * n + T[:, list(scheme.eta_r)], T[:, list(scheme.mu_s)] * n + x], axis=1)
     roots = np.array([*scheme.eta_r.values(), *scheme.mu_s.values()]) % h
     hist = np.bincount((cells * h + roots).ravel(), minlength=G.order * h).reshape(G.order, h)
     exps = _collapse_to_roots(hist)
-    if exps[pair_index(R.zero, R.zero)] != scheme.eta:
+    if exps[0] != scheme.eta:  # the cell (0, 0)
         raise SchemeViolation("coefficient of (0,0) does not equal eta")
     return _self_checked(Unimodular(G, h, exps))
 

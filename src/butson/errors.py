@@ -31,10 +31,6 @@ class NotAGroup(ButsonError):
     """A Cayley table failed the group axioms."""
 
 
-class NotAUnit(ButsonError):
-    """Inverse requested for a non-unit ring element."""
-
-
 class UnsupportedRing(ButsonError):
     """Ring parameters outside the supported families or constructions."""
 

@@ -9,7 +9,7 @@ group built from a table stores one.  Abelian groups in factor form and
 `semidirect` groups compute their rows from their parameters, and their
 `inverse` in closed form.  They build `table` only when asked for it, which
 construction 1, `materialize`, the invariance check and the exact checks
-never do.  `mul` and `inv` return Python ints.
+never do.  `inv` returns a Python int.
 
 `row_slices` cuts an array into row blocks of about `BLOCK_CELLS` cells, the
 unit in which matrices are filled, checked and written.
@@ -84,9 +84,6 @@ class FiniteGroup:
             i, j = np.divmod(r, k)  # (i, j)^(-1) = (-t^(k-j) i mod m, -j mod k)
             return _frozen(-_powers(t, k, m)[-j % k] * i % m * k + -j % k)
         return _frozen(np.nonzero(self.stored == 0)[1])
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
         return self.inverse.item(a)

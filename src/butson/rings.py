@@ -6,21 +6,22 @@ Two families are supported:
              Here pi = p, the chain has length n, and p = pi^1 * unit (m = 1).
 * truncated: F_{p^d}[u]/(u^n).  Here pi = u, p = 0 = pi^n * unit (m = n).
 
-Both families are free Z_q-modules, and every element is one flat tuple of
-`len(additive_factors)` coordinates mod q: galois elements are the d
+An element of R is its index 0..|R|-1, 0 the zero, and all ring arithmetic
+reads two read-only (|R|, |R|) index tables, `add_table` and `mul_table`.
+Both are built from `elements`, the flat coordinate tuples mod q in
+row-major order over `additive_factors`, so an index is also the element
+index of make_abelian(additive_factors).  Galois elements are the d
 coefficients of a polynomial in x, with q = p^n; truncated elements are the
 n coefficients of a polynomial in u, each a block of d coordinates of an
-element of F_{p^d}, one block after the other, with q = p.  All arithmetic
-is exact.  `elements` lists the tuples in row-major order over
-`additive_factors`, so `index` is also the element index of
-make_abelian(additive_factors).
+element of F_{p^d}, the u^0 block first, with q = p.
 
 Multiplication is bilinear over Z_q, so c^3 structure constants fix it
 (c = len(additive_factors)): coordinates x^i u^a and x^j u^b multiply to
 (x^(i+j) mod (f, q)) u^(a+b), or to 0 once a + b reaches the block count (1
-for galois, n for truncated).  `mul_table`, the (|R|, |R|) table of product
-indices built from those constants, is the one multiplication that `mul`,
-`unit_inverse` and constructions 2 and 3 read.
+for galois, n for truncated).
+
+In a chain ring I^t = pi^t R, so row pi^t of `mul_table` is I^t: `val` and
+`phi` (pi^t u -> pi^t u^(-1)) are index arrays filled from those rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .poly import _poly_divmod_monic
-from .errors import NotAUnit, SelfCheckFailed, UnsupportedRing, _check_fits, _physical_memory
+from .errors import SelfCheckFailed, UnsupportedRing, _check_fits, _physical_memory
 
 
 def _has_root_free_factor(poly, p, degree):
@@ -62,9 +63,9 @@ class ChainRing:
         if p < 2 or d < 1 or n < 1:
             raise UnsupportedRing(f"bad parameters p={p}, d={d}, n={n}")
         # refuse a ring too large to list before enumerating it: each element
-        # is a tuple of at most d*n entries plus an index entry, under
-        # 8*d*n + 160 bytes; d*n >= 64 alone means |R| >= 2^64, and p^(d*n)
-        # is never formed for such an exponent
+        # is a tuple of at most d*n entries, under 8*d*n + 160 bytes with its
+        # list slot; d*n >= 64 alone means |R| >= 2^64, and p^(d*n) is never
+        # formed for such an exponent
         phys = _physical_memory()
         if d * n >= 64 or (phys is not None and p ** (d * n) * (8 * d * n + 160) > phys):
             raise UnsupportedRing(
@@ -79,20 +80,30 @@ class ChainRing:
         if family == "galois":
             self.q = p**n  # coordinate modulus
             self.additive_factors = (self.q,) * d
-            self.pi = (p % self.q,) + (0,) * (d - 1)
+            pi = (p % self.q,) + (0,) * (d - 1)
         else:
             self.q = p
             self.additive_factors = (p,) * (d * n)
-            self.pi = ((0,) * d + (1,) + (0,) * (d * n))[: d * n]  # u, or 0 when n = 1
+            pi = ((0,) * d + (1,) + (0,) * (d * n))[: d * n]  # u, or 0 when n = 1
         self.elements = list(product(range(self.q), repeat=len(self.additive_factors)))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.zero = self.elements[0]
-        self.one = (1,) + self.zero[1:]
+        self.one = self.size // self.q  # (1, 0, ..., 0)
+        self.pi = sum(a * self.q**k for k, a in enumerate(reversed(pi)))
 
     # -- arithmetic ------------------------------------------------------
 
-    def add(self, x, y):
-        return tuple((a + b) % self.q for a, b in zip(x, y))
+    @cached_property
+    def add_table(self):
+        """Read-only (|R|, |R|) array of the index of elements[i] + elements[j]."""
+        import numpy as np
+
+        _check_fits(self.size, f"the sum table of {self.describe()}")
+        X, q = np.array(self.elements, dtype=np.int64), self.q
+        table = np.zeros((self.size, self.size), dtype=np.intp)
+        for k in range(X.shape[1]):  # row-major index: one coordinate of every sum at a time
+            table *= q
+            table += (X[:, k, None] + X[:, k]) % q
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def mul_table(self):
@@ -123,76 +134,72 @@ class ChainRing:
         table.flags.writeable = False
         return table
 
-    def mul(self, x, y):
-        return self.elements[self.mul_table.item(self.index[x], self.index[y])]
-
-    def pow_pi(self, k: int):
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, self.pi)
-        return out
-
-    def is_unit(self, x) -> bool:
-        return self.val(x) == 0
-
-    def unit_inverse(self, x):
-        if not self.is_unit(x):
-            raise NotAUnit(f"{x} is not a unit")
-        hits = (self.mul_table[self.index[x]] == self.index[self.one]).nonzero()[0]
-        if len(hits) != 1:
-            raise SelfCheckFailed(f"{x} has {len(hits)} inverses in {self.describe()}")
-        return self.elements[hits[0]]
-
     # -- chain structure ---------------------------------------------------
 
-    def val(self, x) -> int:
-        """pi-adic valuation; val(0) = n by convention."""
-        if not any(x):
-            return self.n
-        if self.family == "galois":
-            return min(_pval(a, self.p) for a in x if a != 0)
-        return next(i for i, a in enumerate(x) if a) // self.d
+    @cached_property
+    def pi_powers(self) -> list[int]:
+        """The indices of pi^0, ..., pi^n."""
+        powers = [self.one]
+        for _ in range(self.n):
+            powers.append(self.mul_table.item(powers[-1], self.pi))
+        return powers
 
-    def unit_part(self, x):
-        """Canonical u with x = pi^val(x) * u, by exact coordinate division."""
-        t = self.val(x)
-        if t == self.n:
-            raise NotAUnit("zero has no unit part")
-        if self.family == "galois":
-            q = self.p**t
-            return tuple(a // q for a in x)
-        return x[t * self.d:] + self.zero[: t * self.d]
+    @cached_property
+    def val(self):
+        """Read-only (|R|,) pi-adic valuation of each element; val[0] = n."""
+        import numpy as np
 
-    def phi(self, x):
-        """x = pi^k u maps to pi^k u^{-1}; an involution fixing 0."""
-        if x == self.zero:
-            return self.zero
-        k = self.val(x)
-        return self.mul(self.pow_pi(k), self.unit_inverse(self.unit_part(x)))
+        val = np.zeros(self.size, dtype=np.intp)
+        for t in range(1, self.n + 1):  # row pi^t is I^t, which holds I^(t+1)
+            val[self.mul_table[self.pi_powers[t]]] = t
+        val.flags.writeable = False
+        return val
+
+    @cached_property
+    def phi(self):
+        """Read-only (|R|,) index of pi^t u^(-1) for each pi^t u, u a unit; an involution fixing 0.
+
+        It is well defined: pi^t u = pi^t u' implies pi^t u^(-1) = pi^t u'^(-1).
+        """
+        import numpy as np
+
+        T = self.mul_table
+        units = np.flatnonzero(self.val == 0)
+        hits = T[units] == self.one
+        if (hits.sum(axis=1) != 1).any():
+            raise SelfCheckFailed(f"a unit of {self.describe()} has no single inverse in its product table row")
+        inverse = hits.argmax(axis=1)
+        phi = np.zeros(self.size, dtype=np.intp)
+        for t in range(self.n):  # pi^t times the units is the set of valuation t
+            row = T[self.pi_powers[t]]
+            phi[row[units]] = row[inverse]
+        phi.flags.writeable = False
+        return phi
 
     def ideal_elements(self, t: int):
-        """All elements of I^t (t = 0 gives the whole ring)."""
+        """The indices of I^t, ascending (t = 0 gives the whole ring): row pi^t of the product table."""
         if not 0 <= t <= self.n:
             raise ValueError(f"t must be in 0..{self.n}")
-        return [x for x in self.elements if self.val(x) >= t]
+        return _distinct(self.mul_table[self.pi_powers[t]])
 
-    def coset_transversal_R1(self):
-        """Canonical transversal of I containing 0: the first d coordinates run over 0..p-1."""
-        rest = self.zero[self.d:]
-        return [c + rest for c in product(range(self.p), repeat=self.d)]
+    def coset_chain(self) -> list:
+        """R_0 = {0} up to R_n = R, R_(i+1) = R_i + pi^i R_1, each an ascending index array.
 
-    def coset_chain(self):
-        """R_0 = {0} up to R_n = R with R_i = R_1 + pi R_1 + ... + pi^(i-1) R_1."""
-        r1 = self.coset_transversal_R1()
-        chain = [[self.zero]]
-        cur = [self.zero]
+        R_1, a transversal of I containing 0, holds the elements whose first
+        d coordinates run over 0..p-1 and whose others are 0.
+        """
+        import numpy as np
+
+        X = np.array(self.elements, dtype=np.int64)
+        r1 = np.flatnonzero((X[:, : self.d] < self.p).all(axis=1) & (X[:, self.d :] == 0).all(axis=1))
+        A, T = self.add_table, self.mul_table
+        chain = [np.zeros(1, dtype=np.intp)]
         for i in range(self.n):
-            step = [self.mul(self.pow_pi(i), s) for s in r1]
-            cur = [self.add(x, y) for x in cur for y in step]
-            cur = sorted(set(cur), key=self.index.get)
-            if len(cur) != self.p ** (self.d * (i + 1)):
-                raise SelfCheckFailed(f"level {i + 1} of the coset chain of {self.describe()} has {len(cur)} elements")
-            chain.append(cur)
+            level = _distinct(A[chain[-1]][:, T[self.pi_powers[i], r1]])
+            if len(level) != self.p ** (self.d * (i + 1)):
+                raise SelfCheckFailed(f"level {i + 1} of the coset chain of {self.describe()} "
+                                      f"has {len(level)} elements")
+            chain.append(level)
         return chain
 
     def describe(self) -> str:
@@ -201,12 +208,11 @@ class ChainRing:
         return f"F_{self.p}^{self.d}[u]/(u^{self.n})"
 
 
-def _pval(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+def _distinct(a):
+    """The distinct entries of an index array, ascending (np.unique would load numpy.ma)."""
+    import numpy as np
+
+    return np.flatnonzero(np.bincount(a.ravel()))
 
 
 def _is_prime(p: int) -> bool:

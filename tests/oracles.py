@@ -1,9 +1,11 @@
 """Oracles that the tests compare the library against; the library never calls them.
 
-Slow, direct restatements: arithmetic in Z[zeta_h] and in the group ring over
+Slow, direct restatements: one product of a group read from its whole
+Cayley table, arithmetic in Z[zeta_h] and in the group ring over
 `GroupRingElt` coefficients, characters of abelian groups, D D^(-1) = |G| by
 `gr_mul` and by characters, the histograms of x y^(-1) for unimodular x and
-y, construction 1's block identities, one shift's autocorrelation and
+y, construction 1's block identities, one shift's autocorrelation, each
+chain-ring family's closed forms of the valuation and the unit part, and
 construction 3's line family.  A library method they need is a function here
 taking the object first: `x * y` of two `CycInt`s reads `cyc_mul(x, y)`.
 """
@@ -98,6 +100,11 @@ def gauss_sum(n: int, b: int, variant: str) -> CycInt:
             out[(i * i + 2 * b * i) % h] += 1
         return CycInt(h, tuple(out))
     raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+
+
+def group_mul(G: FiniteGroup, a: int, b: int) -> int:
+    """a * b, read from the whole Cayley table."""
+    return G.table.item(a, b)
 
 
 def is_abelian(G: FiniteGroup) -> bool:
@@ -300,11 +307,71 @@ def neg(R, x):
     return tuple((-a) % R.q for a in x)
 
 
+def ring_index(R, x) -> int:
+    """The index of the coordinate tuple x: its digits mod q, row-major."""
+    i = 0
+    for a in x:
+        i = i * R.q + a % R.q
+    return i
+
+
+def ring_pi(R) -> tuple[int, ...]:
+    """The coordinates of pi: p in GR(p^n, d), u in F_(p^d)[u]/(u^n) (0 when n = 1)."""
+    c = len(R.additive_factors)
+    if R.family == "galois":
+        return (R.p % R.q,) + (0,) * (c - 1)
+    return tuple(int(k == R.d) for k in range(c))
+
+
+def ring_val(R, x) -> int:
+    """The pi-adic valuation of a coordinate tuple; val(0) = n.
+
+    In a Galois ring it is the least p-adic valuation of a coordinate, in a
+    truncated ring the first nonzero u-block.
+    """
+    if not any(x):
+        return R.n
+    if R.family == "galois":
+        return min(_pval(a, R.p) for a in x if a)
+    return next(i for i, a in enumerate(x) if a) // R.d
+
+
+def _pval(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def unit_part(R, x) -> tuple[int, ...]:
+    """A unit u with x = pi^val(x) u, for x nonzero.
+
+    In a Galois ring each coordinate is divided by p^val(x), in a truncated
+    ring the u-blocks are shifted down by val(x).
+    """
+    t = ring_val(R, x)
+    if R.family == "galois":
+        return tuple(a // R.p**t for a in x)
+    return x[t * R.d :] + (0,) * (t * R.d)
+
+
+def ring_phi(R, x) -> tuple[int, ...]:
+    """pi^t u^(-1) for x = pi^t u, u = unit_part(x); 0 for 0.  Products are read from R.mul_table."""
+    if not any(x):
+        return x
+    T, t = R.mul_table, ring_val(R, x)
+    one = ring_index(R, (1,) + (0,) * (len(x) - 1))
+    (inverse,) = np.flatnonzero(T[ring_index(R, unit_part(R, x))] == one)
+    y, pi = int(inverse), ring_index(R, ring_pi(R))
+    for _ in range(t):
+        y = T.item(y, pi)
+    return R.elements[y]
+
+
 def line_family(R):
-    """The subgroups I_r = {(x, xr)} for r in R and J_s = {(xs, x)} for s in I."""
-    lines_I = {r: frozenset((x, R.mul(x, r)) for x in R.elements) for r in R.elements}
-    lines_J = {
-        s: frozenset((R.mul(x, s), x) for x in R.elements)
-        for s in R.ideal_elements(1)
-    }
+    """The subgroups I_r = {(x, xr)} for r in R and J_s = {(xs, x)} for s in I, as pairs of element indices."""
+    T = R.mul_table.tolist()
+    lines_I = {r: frozenset((x, T[x][r]) for x in range(R.size)) for r in range(R.size)}
+    lines_J = {s: frozenset((T[x][s], x) for x in range(R.size)) for s in R.ideal_elements(1).tolist()}
     return lines_I, lines_J

@@ -152,20 +152,21 @@ def test_criterion_07_line_instances():
                 acc = acc + CycInt.root(6, e)
             return acc
 
-        chain = R.coset_chain()
+        A, T = R.add_table, R.mul_table
+        chain = [level.tolist() for level in R.coset_chain()]
         for i in range(1, R.n):
             for u in chain[i]:
-                lhs = root_sum(scheme.eta_r[R.add(u, j)]
-                               for j in R.ideal_elements(i))
+                lhs = root_sum(scheme.eta_r[x]
+                               for x in A[u, R.ideal_elements(i)].tolist())
                 assert is_zero(lhs - CycInt.root(6, scheme.delta_u[u]))
         for j in range(R.n - 1):
-            for v in {R.mul(R.pi, x) for x in chain[j]}:
-                lhs = root_sum(scheme.mu_s[R.add(v, w)]
-                               for w in R.ideal_elements(j + 1))
+            for v in set(T[R.pi, chain[j]].tolist()):
+                lhs = root_sum(scheme.mu_s[x]
+                               for x in A[v, R.ideal_elements(j + 1)].tolist())
                 assert is_zero(lhs - CycInt.root(6, scheme.gamma_extended(v)))
         top = root_sum([scheme.delta_u[u] for u in chain[1]] +
                        [scheme.gamma_v[v] if R.n > 2 else scheme.mu_s[v]
-                        for v in {R.mul(R.pi, x) for x in chain[1]}])
+                        for v in set(T[R.pi, chain[1]].tolist())])
         assert is_zero(top - CycInt.root(6, scheme.eta))
     print(f"\nPASS criterion 7: line instances of orders 16 and 81 at h=6, "
           f"all constraint families re-verified [{total:.2f} s total]")

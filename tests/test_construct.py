@@ -51,7 +51,9 @@ from butson.sums import zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
-from oracles import apply_char, block_defect, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq
+from oracles import (
+    abelian_coords, apply_char, block_defect, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq,
+)
 
 
 def test_min_h_frozen_values():
@@ -230,11 +232,11 @@ def test_partition_shape():
     R = chain_ring("galois", 3, 1, 2)
     parts = partition_R(R, 1)
     assert len(parts) == 3
-    ideal = set(R.ideal_elements(R.n - 1))
+    ideal = R.ideal_elements(R.n - 1)
     for part in parts:
         assert len(part) == R.size // 3
-        for x in R.elements:
-            coset = {R.add(x, j) for j in ideal}
+        for x in range(R.size):
+            coset = set(R.add_table[x, ideal].tolist())
             assert len(coset & set(part)) == 3 ** (R.d - 1)
 
 
@@ -294,26 +296,25 @@ def test_constructions_over_r_x_r_refuse_its_table_before_their_loops(monkeypatc
 def test_line_family_z4_facts():
     R = chain_ring("galois", 2, 1, 2)
     lines_i, lines_j = line_family(R)
-    assert set(lines_i) == set(R.elements)
-    assert set(lines_j) == set(R.ideal_elements(1))
-    two = R.pow_pi(1)
+    assert set(lines_i) == {0, 1, 2, 3}
+    assert set(lines_j) == {0, 2}
+    two = R.pi_powers[1]
     hits = [r for r, line in lines_i.items() if (two, two) in line]
-    assert sorted(hits, key=R.index.get) == sorted(
-        (r for r in R.elements if R.is_unit(r)), key=R.index.get
-    )
+    assert sorted(hits) == [1, 3]  # the units of Z4
     assert all((two, two) not in line for line in lines_j.values())
 
 
 def test_line_family_covers_unit_pairs_once():
     R = chain_ring("galois", 3, 1, 2)
     lines_i, lines_j = line_family(R)
-    for x in R.elements:
-        for y in R.elements:
+    unit = (R.val == 0).tolist()
+    for x in range(R.size):
+        for y in range(R.size):
             in_i = sum((x, y) in line for line in lines_i.values())
             in_j = sum((x, y) in line for line in lines_j.values())
-            if R.is_unit(x):
+            if unit[x]:
                 assert in_i == 1
-            if R.is_unit(y) and not R.is_unit(x):
+            if unit[y] and not unit[x]:
                 assert in_i == 0 and in_j == 1
 
 
@@ -395,11 +396,12 @@ def test_line_bh_instances():
 
 
 def test_ring_square_group_indexing():
-    R = chain_ring("galois", 2, 1, 2)
-    G, pair_index = ring_square_group(R)
+    R = chain_ring("galois", 2, 2, 2)
+    G = ring_square_group(R)
     assert G.order == R.size**2
-    seen = {pair_index(x, y) for x in R.elements for y in R.elements}
-    assert seen == set(range(G.order))
+    # (x, y) is the element x |R| + y, whose coordinates are those of x, then those of y
+    for x, y in itertools.product(range(R.size), repeat=2):
+        assert abelian_coords(G, x * R.size + y) == R.elements[x] + R.elements[y]
 
 
 def _build_group():

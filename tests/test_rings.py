@@ -1,4 +1,4 @@
-"""Finite chain rings: both families, exact axioms, valuations, characters."""
+"""Finite chain rings: both families, exact axioms of the two tables, valuations and phi."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from sympy import Poly, symbols
 
@@ -18,7 +19,7 @@ from butson.errors import ButsonError, UnsupportedRing
 from butson.groups import make_abelian
 from butson.rings import chain_ring, irreducible_poly
 
-from oracles import abelian_index, neg
+from oracles import abelian_index, neg, ring_index, ring_phi, ring_pi, ring_val, unit_part
 
 SMALL_RINGS = [
     ("galois", 2, 1, 2),      # Z4
@@ -33,28 +34,45 @@ SMALL_RINGS = [
 ]
 
 
-@pytest.fixture(params=SMALL_RINGS, ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}-{s[3]}")
+# every ring up to 81 elements that the tests build from coordinates
+RINGS = SMALL_RINGS + [
+    ("galois", 3, 2, 2),      # GR(9, 2), a quadratic modulus over Z9
+    ("truncated", 2, 3, 2),   # F8[u]/(u^2), a cubic modulus
+    ("truncated", 2, 2, 3),   # F4[u]/(u^3), three u-blocks
+]
+
+
+def ring_id(spec):
+    return "-".join(map(str, spec))
+
+
+@pytest.fixture(params=SMALL_RINGS, ids=ring_id)
 def ring(request):
     return chain_ring(*request.param)
 
 
 def test_size_and_identities(ring):
+    A, T, r = ring.add_table, ring.mul_table, np.arange(ring.size)
+    c = len(ring.additive_factors)
     assert ring.size == ring.p ** (ring.d * ring.n)
     assert len(set(ring.elements)) == ring.size
-    for x in ring.elements:
-        assert ring.add(x, ring.zero) == x
-        assert ring.mul(x, ring.one) == x
-        assert ring.add(x, neg(ring, x)) == ring.zero
+    assert ring.elements[0] == (0,) * c and ring.elements[ring.one] == (1,) + (0,) * (c - 1)
+    assert (A[:, 0] == r).all() and (T[:, ring.one] == r).all()
+    for i, x in enumerate(ring.elements):  # the negative: where row x of the sum table holds 0, once
+        (j,) = np.flatnonzero(A[i] == 0)
+        assert ring.elements[j] == neg(ring, x)
 
 
-def test_ring_axioms_exhaustive(ring):
-    els = ring.elements if ring.size <= 16 else ring.elements[:12]
-    for x, y, z in itertools.product(els, repeat=3):
-        assert ring.add(ring.add(x, y), z) == ring.add(x, ring.add(y, z))
-        assert ring.mul(ring.mul(x, y), z) == ring.mul(x, ring.mul(y, z))
-        assert ring.mul(x, ring.add(y, z)) == ring.add(ring.mul(x, y), ring.mul(x, z))
-        assert ring.add(x, y) == ring.add(y, x)
-        assert ring.mul(x, y) == ring.mul(y, x)
+@pytest.mark.parametrize("spec", RINGS, ids=ring_id)
+def test_ring_axioms_exhaustive(spec):
+    R = chain_ring(*spec)
+    A, T = R.add_table, R.mul_table
+    assert A.shape == (R.size, R.size) and not A.flags.writeable
+    x, y, z = np.ix_(*[range(R.size)] * 3)  # every triple
+    assert (A[A[x, y], z] == A[x, A[y, z]]).all()
+    assert (T[T[x, y], z] == T[x, T[y, z]]).all()
+    assert (T[x, A[y, z]] == A[T[x, y], T[x, z]]).all()
+    assert (A == A.T).all() and (T == T.T).all()
 
 
 def test_ideal_sizes(ring):
@@ -63,75 +81,76 @@ def test_ideal_sizes(ring):
 
 
 def test_valuation_and_unit_part(ring):
-    assert ring.val(ring.zero) == ring.n
-    for x in ring.elements:
-        v = ring.val(x)
-        if x == ring.zero:
-            continue
-        u = ring.unit_part(x)
-        assert ring.is_unit(u)
-        assert ring.mul(ring.pow_pi(v), u) == x
+    T, val = ring.mul_table, ring.val
+    assert val[0] == ring.n and not val.flags.writeable
+    for i, x in enumerate(ring.elements[1:], 1):
+        u = ring_index(ring, unit_part(ring, x))
+        assert val[u] == 0
+        assert T[ring.pi_powers[val[i]], u] == i
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=ring_id)
+def test_val_and_phi_match_the_closed_forms(spec):
+    R = chain_ring(*spec)
+    assert [R.elements[i] for i in R.pi_powers[:2]] == [R.elements[R.one], ring_pi(R)]
+    assert R.val.tolist() == [ring_val(R, x) for x in R.elements]
+    assert [R.elements[y] for y in R.phi.tolist()] == [ring_phi(R, x) for x in R.elements]
 
 
 def test_valuation_of_products(ring):
-    if ring.size > 16:
-        pytest.skip("exhaustive product valuation kept to tiny rings")
-    for x, y in itertools.product(ring.elements, repeat=2):
-        assert ring.val(ring.mul(x, y)) == min(ring.val(x) + ring.val(y), ring.n)
+    val = ring.val
+    assert (val[ring.mul_table] == np.minimum(val[:, None] + val, ring.n)).all()
 
 
 def test_unit_inverse(ring):
-    for x in ring.elements:
-        if ring.is_unit(x):
-            assert ring.mul(x, ring.unit_inverse(x)) == ring.one
+    # a unit's row of the product table holds one exactly once, another element's never
+    assert ((ring.mul_table == ring.one).sum(axis=1) == (ring.val == 0)).all()
 
 
 def test_involution(ring):
-    for x in ring.elements:
-        y = ring.phi(x)
-        assert ring.val(y) == ring.val(x)
-        assert ring.phi(y) == x
-        if x != ring.zero:
-            # phi inverts the unit part and keeps the pi power
-            v = ring.val(x)
-            assert y == ring.mul(ring.pow_pi(v), ring.unit_inverse(ring.unit_part(x)))
+    phi, val, r = ring.phi, ring.val, np.arange(ring.size)
+    assert not phi.flags.writeable
+    assert (val[phi] == val).all() and (phi[phi] == r).all()
+    # phi inverts the unit part and keeps the pi power: phi(pi^t u) pi^t u = pi^(2t)
+    assert (ring.mul_table[phi, r] == np.array(ring.pi_powers)[np.minimum(2 * val, ring.n)]).all()
 
 
 def test_r1_transversal(ring):
-    reps = ring.coset_transversal_R1()
-    assert len(reps) == ring.p ** ring.d
-    assert reps[0] == ring.zero
-    for a, b in itertools.combinations(reps, 2):
-        assert ring.val(ring.add(a, neg(ring, b))) == 0, "distinct reps must differ by a unit"
+    r1 = ring.coset_chain()[1]
+    rest = (0,) * (len(ring.additive_factors) - ring.d)
+    assert [ring.elements[i] for i in r1] == [c + rest for c in itertools.product(range(ring.p), repeat=ring.d)]
+    assert r1[0] == 0
+    negative = (ring.add_table == 0).argmax(axis=1)
+    differences = ring.val[ring.add_table[np.ix_(r1, negative[r1])]]
+    assert (differences[~np.eye(len(r1), dtype=bool)] == 0).all(), "distinct reps must differ by a unit"
 
 
 def test_coset_chain(ring):
     chain = ring.coset_chain()
     assert len(chain) == ring.n + 1
-    assert chain[0] == [ring.zero]
+    assert chain[0].tolist() == [0]
     for i, level in enumerate(chain):
-        assert len(set(level)) == ring.p ** (ring.d * i)
+        assert len(set(level.tolist())) == ring.p ** (ring.d * i) == len(level)
+        assert (np.diff(level) > 0).all()
         if i > 0:
-            assert set(chain[i - 1]) <= set(level)
-    assert set(chain[-1]) == set(ring.elements)
+            assert set(chain[i - 1].tolist()) <= set(level.tolist())
+    assert chain[-1].tolist() == list(range(ring.size))
 
 
 def test_additive_group_matches_ring_addition(ring):
-    # ring.index is the element index of the group built from additive_factors
+    # an element's index is also its element index in the group built from additive_factors
     G = make_abelian(ring.additive_factors)
     assert G.order == ring.size
-    for x in ring.elements[: min(ring.size, 16)]:
-        for y in ring.elements[: min(ring.size, 16)]:
-            assert ring.elements[G.mul(ring.index[x], ring.index[y])] == ring.add(x, y)
+    assert (G.table == ring.add_table).all()
 
 
 def test_elements_are_flat_coordinate_tuples(ring):
     # one coordinate mod q per additive factor, in make_abelian's index order
     G = make_abelian(ring.additive_factors)
-    for x in ring.elements:
+    for i, x in enumerate(ring.elements):
         assert len(x) == len(ring.additive_factors)
         assert all(type(a) is int and 0 <= a < q for a, q in zip(x, ring.additive_factors))
-        assert ring.index[x] == abelian_index(G, x)
+        assert i == abelian_index(G, x) == ring_index(ring, x)
 
 
 def _polynomial_product(R):
@@ -160,23 +179,27 @@ def _polynomial_product(R):
     return truncated
 
 
-@pytest.mark.parametrize("spec", SMALL_RINGS + [
-    ("galois", 3, 2, 2),      # GR(9, 2), a quadratic modulus over Z9
-    ("truncated", 2, 3, 2),   # F8[u]/(u^2), a cubic modulus
-    ("truncated", 2, 2, 3),   # F4[u]/(u^3), three u-blocks
-], ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}-{s[3]}")
+@pytest.mark.parametrize("spec", RINGS, ids=ring_id)
 def test_mul_table_matches_polynomial_arithmetic(spec):
     R = chain_ring(*spec)
     product = _polynomial_product(R)
     table = R.mul_table
     assert table.shape == (R.size, R.size) and not table.flags.writeable
     for i, x in enumerate(R.elements):
-        assert table[i].tolist() == [R.index[product(x, y)] for y in R.elements], x
+        assert table[i].tolist() == [ring_index(R, product(x, y)) for y in R.elements], x
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=ring_id)
+def test_add_table_matches_coordinate_addition(spec):
+    R = chain_ring(*spec)
+    for i, x in enumerate(R.elements):
+        assert R.add_table[i].tolist() == [ring_index(R, [a + b for a, b in zip(x, y)]) for y in R.elements], x
 
 
 def test_ring_self_checks_survive_python_O():
     code = textwrap.dedent("""
         import sys
+        import numpy as np
         from butson.errors import SelfCheckFailed
         from butson.rings import chain_ring
 
@@ -184,18 +207,18 @@ def test_ring_self_checks_survive_python_O():
         for spec in [("galois", 3, 1, 2), ("truncated", 2, 2, 2)]:
             R = chain_ring(*spec)
             table = R.mul_table.copy()
-            table[table == R.index[R.one]] = R.index[R.zero]  # no unit has an inverse
+            table[table == R.one] = 0  # no unit has an inverse
             R.__dict__["mul_table"] = table
             try:
-                [R.phi(x) for x in R.elements]
+                R.phi
                 sys.exit(f"phi of {spec} passed with a product table that holds no one")
             except SelfCheckFailed:
                 pass
             R = chain_ring(*spec)
-            R.coset_transversal_R1 = lambda: [R.zero] * R.p ** R.d
+            R.__dict__["add_table"] = np.zeros_like(R.add_table)  # every sum is 0: no level grows
             try:
                 R.coset_chain()
-                sys.exit(f"the coset chain of {spec} passed with a repeated transversal")
+                sys.exit(f"the coset chain of {spec} passed with a sum table that holds only 0")
             except SelfCheckFailed:
                 pass
     """)
@@ -207,16 +230,18 @@ def test_ring_self_checks_survive_python_O():
 
 def test_z4_facts():
     R = chain_ring("galois", 2, 1, 2)
-    two = R.pow_pi(1)
-    assert R.mul(two, two) == R.zero
-    assert sorted(R.val(x) for x in R.elements) == [0, 0, 1, 2]
+    two = R.pi_powers[1]
+    assert R.elements[two] == (2,)
+    assert R.mul_table[two, two] == 0
+    assert sorted(R.val.tolist()) == [0, 0, 1, 2]
 
 
 def test_truncated_nilpotency():
     R = chain_ring("truncated", 2, 1, 3)
-    u = R.pi
-    assert R.mul(R.mul(u, u), u) == R.zero
-    assert R.mul(u, u) != R.zero
+    T, u = R.mul_table, R.pi
+    assert R.elements[u] == (0, 1, 0)
+    assert T[T[u, u], u] == 0
+    assert T[u, u] != 0
 
 
 def test_irreducible_poly_frozen():
@@ -270,5 +295,4 @@ def test_rings_too_large_to_list_are_refused_before_enumeration(monkeypatch):
 
 def test_field_case_everything_is_unit_or_zero():
     F4 = chain_ring("galois", 2, 2, 1)
-    units = [x for x in F4.elements if F4.is_unit(x)]
-    assert len(units) == 3
+    assert F4.val.tolist() == [1, 0, 0, 0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,6 +41,10 @@ def test_census_exits_0_or_2_on_small_rings():
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert all(len(row) == 4 for row in rows)
     assert {row[1] for row in rows} == {"0", "2"}, [row for row in rows if row[1] not in ("0", "2")]
+    # every outcome of the ring grid, byte for byte
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "2722bf8399a2fb3abe24eca91f08dc0c577c81cd60f955492958da041fde8df1"
+    )
 
 
 def test_census_of_small_abelian_groups():
