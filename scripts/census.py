@@ -42,6 +42,7 @@ from pathlib import Path
 
 from butson import cli, fileio
 from butson.construct import min_h
+from butson.groups import Unimodular
 
 FAMILIES = ("galois", "truncated")
 PRIMES = (2, 3, 5)
@@ -130,10 +131,12 @@ def group_case(n: int, spec: str, h: int, m: int = 1) -> None:
         return
     report(["verify-array", "g.arr"])
     if h > 1:  # shift one seeded entry by a nonzero amount
-        A = fileio.read_array("g.arr")
+        D = fileio.read_array("g.arr")
         rng = random.Random(f"{spec} {h}")
-        i = rng.randrange(A.E.size)
-        Path("m.arr").write_text(fileio.format_array(A.with_entry(i, A.E.flat[i] + rng.randrange(1, h))))
+        i = rng.randrange(D.e.size)
+        e = D.e.copy()
+        e[i] = (int(e[i]) + rng.randrange(1, h)) % h  # in Python ints: a narrow e[i] + shift would wrap
+        Path("m.arr").write_text(fileio.format_array(Unimodular(D.group, h, e)))
         report(["verify-array", "m.arr"])
 
 

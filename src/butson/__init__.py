@@ -10,7 +10,6 @@ _EXPORTS = {
     "groups": ("FiniteGroup", "GroupRingElt", "Unimodular", "make_abelian", "make_cyclic", "make_from_table", "make_semidirect"),
     "rings": ("ChainRing", "chain_ring"),
     "verify": ("BhMatrix", "VerifyReport", "materialize", "verify_bh", "verify_group_ring"),
-    "arrays": ("PerfectArray", "to_array", "verify_perfect"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

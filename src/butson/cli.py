@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_array(args) -> int:
-    from . import arrays, fileio
+    from . import fileio
     from .groups import Unimodular
     from .verify import invariance_witness
 
@@ -203,19 +203,20 @@ def _cmd_export_array(args) -> int:
         return EXIT_VERIFY_FAILED
     # the coefficient of g is the matrix entry at (g, identity)
     D = Unimodular(M.group, M.h, M.E[:, 0])
-    _write_out(args.out, fileio.format_array(arrays.to_array(D)))
+    _write_out(args.out, fileio.format_array(D))
     return EXIT_OK
 
 
 def _cmd_verify_array(args) -> int:
-    from . import arrays, fileio
+    from . import fileio
+    from .verify import verify_group_ring
 
-    A = fileio.read_array(args.file)
-    ok = arrays.verify_perfect(A)
+    D = fileio.read_array(args.file)
+    ok = verify_group_ring(D)  # the array is perfect iff D D^(-1) = |G|
     if args.format == "json":
         import json
 
-        print(json.dumps({"is_perfect": ok, "dims": list(A.dims), "h": A.h}))
+        print(json.dumps({"is_perfect": ok, "dims": list(D.group.abelian_factors), "h": D.h}))
     else:
         print(f"perfect={ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -11,6 +11,11 @@ Array file::
     array h=<H> dims=n1,n2,...
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
+An array file is a `Unimodular` over the factor-form group of its dims,
+`arrays.array_group(dims)`: its exponent vector `e` in rows of dims[-1].
+`format_array` writes any element over an abelian group in factor form, and
+`read_array` keeps the body it reads as that element's `e`, with no copy.
+
 Table file::
 
     order <N>
@@ -30,22 +35,17 @@ array and join its lines one row block (`groups.row_slices`) at a time.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ButsonError, NotAGroup, _check_fits
-from .groups import (FiniteGroup, _frozen, exponent_dtype, make_abelian, make_cyclic, make_from_table,
-                     make_semidirect, row_slices)
+from .errors import ButsonError, NotAbelianFactored, NotAGroup, _check_fits
+from .groups import (FiniteGroup, Unimodular, _frozen, exponent_dtype, make_abelian, make_cyclic,
+                     make_from_table, make_semidirect, row_slices)
 from .verify import BhMatrix
-
-if TYPE_CHECKING:  # of the array code, only read_array needs `arrays` at run time
-    from .arrays import PerfectArray
 
 
 @contextmanager
@@ -154,6 +154,8 @@ def _read_cayley_table(path: Path) -> np.ndarray:
             n = int(head[1])
         except (IndexError, ValueError):
             raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
+        if n < 1:
+            raise NotAGroup(f"cayley table order must be positive, got {n}")
         if (rows := _rows(f, (n, n))) is not None:
             return rows
     with _reading(path) as f:  # read again only to choose the message
@@ -176,19 +178,26 @@ def read_matrix(path: str | Path) -> BhMatrix:
     return BhMatrix(h, group, E)
 
 
-def format_array(A: PerfectArray) -> str:
-    dims = ",".join(str(d) for d in A.dims)
-    return _format([f"array h={A.h} dims={dims}"], A.E.reshape(-1, A.dims[-1]), A.h)
+def format_array(D: Unimodular) -> str:
+    """The array file of D over an abelian group in factor form: e in rows of the last factor."""
+    from .arrays import array_group  # here, not at the top: `verify` loads no array code
+
+    if (dims := D.group.abelian_factors) is None:
+        raise NotAbelianFactored("array export needs an abelian group in factor form")
+    array_group(dims)  # refuses dims no array may have, before any text is built
+    return _format([f"array h={D.h} dims={','.join(map(str, dims))}"], D.e.reshape(-1, dims[-1]), D.h)
 
 
-def read_array(path: str | Path) -> PerfectArray:
-    from .arrays import PerfectArray, check_dims
+def read_array(path: str | Path) -> Unimodular:
+    """The element over `arrays.array_group(dims)` whose array file is at path."""
+    from .arrays import array_group
 
     path = Path(path)
     with _reading(path) as f:
         h, dims = _header(f, path, "array", "an array", "dims")
-        dims = check_dims(tuple(int(x) for x in dims.split(",")))
-        shape = (math.prod(dims[:-1]), dims[-1])
+        dims = tuple(int(x) for x in dims.split(","))
+        group = array_group(dims)
+        shape = (group.order // dims[-1], dims[-1])
         if (E := _rows(f, shape, h)) is None:
             raise ButsonError(f"{path}: expected {shape[0]} rows of {shape[1]} exponents, each an integer")
-    return PerfectArray(dims, h, E)
+    return Unimodular(group, h, E)

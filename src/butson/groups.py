@@ -16,9 +16,10 @@ unit in which matrices are filled, checked and written.
 
 A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,)
-exponent vector `e` mod h of dtype `exponent_dtype(h)`, like `BhMatrix.E`
-and `PerfectArray.E`, passed from constructor to array file with no
-conversion.  It is the one element type of the library.  `GroupRingElt`, a
+exponent vector `e` mod h of dtype `exponent_dtype(h)`, like `BhMatrix.E`,
+passed from constructor to array file with no conversion: an array file is
+a `Unimodular` over the factor-form group of its dims (`arrays`).  It is the
+one element type of the library.  `GroupRingElt`, a
 tuple of `CycInt` coefficients, is kept for the benchmark's checker, and
 `as_unimodular` converts it; the group-ring arithmetic and the characters
 that read it are test oracles, in `tests/oracles.py`.

@@ -13,7 +13,9 @@ row-major order over `additive_factors`, so an index is also the element
 index of make_abelian(additive_factors).  Galois elements are the d
 coefficients of a polynomial in x, with q = p^n; truncated elements are the
 n coefficients of a polynomial in u, each a block of d coordinates of an
-element of F_{p^d}, the u^0 block first, with q = p.
+element of F_{p^d}, the u^0 block first, with q = p.  `elements` and the
+modulus f are computed when a table or the coset chain first needs them, so
+a ring's parameters, which `ring-info` prints, cost nothing in |R|.
 
 Multiplication is bilinear over Z_q, so c^3 structure constants fix it
 (c = len(additive_factors)): coordinates x^i u^a and x^j u^b multiply to
@@ -76,7 +78,6 @@ class ChainRing:
         self.family = family
         self.p, self.d, self.n = p, d, n
         self.size = p ** (d * n)
-        self.modulus = irreducible_poly(p, d)
         if family == "galois":
             self.q = p**n  # coordinate modulus
             self.additive_factors = (self.q,) * d
@@ -85,9 +86,20 @@ class ChainRing:
             self.q = p
             self.additive_factors = (p,) * (d * n)
             pi = ((0,) * d + (1,) + (0,) * (d * n))[: d * n]  # u, or 0 when n = 1
-        self.elements = list(product(range(self.q), repeat=len(self.additive_factors)))
         self.one = self.size // self.q  # (1, 0, ..., 0)
         self.pi = sum(a * self.q**k for k, a in enumerate(reversed(pi)))
+
+    # -- elements ----------------------------------------------------------
+
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """The monic degree-d polynomial mod p of the residue field, lowest coefficient first."""
+        return irreducible_poly(self.p, self.d)
+
+    @cached_property
+    def elements(self) -> list[tuple[int, ...]]:
+        """The coordinate tuples mod q in row-major order: elements[i] is the element of index i."""
+        return list(product(range(self.q), repeat=len(self.additive_factors)))
 
     # -- arithmetic ------------------------------------------------------
 

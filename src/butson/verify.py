@@ -17,9 +17,10 @@ the (N, h) counts exactly with `cyclotomic.zero_rows`.
 
 `correlation_defects`, the one exact check of D D^(-1) = |G|, runs on
 batches of `FiniteGroup.rows` up to the first defect.  It serves
-`verify_group_ring`, `arrays.verify_perfect` and `verify_bh` on a matrix
-found G-invariant by one gather: there <row 0, row g> is the conjugate of
-the coefficient of g in D D^(-1), with D the matrix's column 0.
+`verify_group_ring`, which is also the check of a perfect array (an array
+is a `Unimodular`, see `arrays`), and `verify_bh` on a matrix found
+G-invariant by one gather: there <row 0, row g> is the conjugate of the
+coefficient of g in D D^(-1), with D the matrix's column 0.
 Non-invariant input, or `full`, gets every row pair, the oracle the CLI
 offers; the other oracles are in `tests/oracles.py`.
 """

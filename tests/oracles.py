@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from butson import groups
-from butson.arrays import PerfectArray
 from butson.cyclotomic import CycInt, is_zero, zero_rows
 from butson.errors import ButsonError, OrderMismatch
 from butson.groups import FiniteGroup, GroupRingElt, Unimodular, as_unimodular, difference_histograms
@@ -294,13 +293,24 @@ def with_entry(M: BhMatrix, row: int, col: int, e: int) -> BhMatrix:
     return BhMatrix(M.h, M.group, E)
 
 
-def autocorrelation(A: PerfectArray, shift) -> CycInt:
-    """Exact cyclic autocorrelation sum a_i * conj(a_{i+shift}) as a CycInt."""
-    shift = tuple(int(s) % d for s, d in zip(shift, A.dims))
-    t = A.E.astype(np.int64)  # unsigned exponents would wrap on subtraction
-    shifted = np.roll(t, tuple(-s for s in shift), axis=tuple(range(len(A.dims))))
-    hist = np.bincount(((t - shifted) % A.h).ravel(), minlength=A.h)
-    return CycInt(A.h, tuple(int(c) for c in hist))
+def with_coefficient(D: Unimodular, g: int, e: int) -> Unimodular:
+    """D with the coefficient of g set to zeta_h^e."""
+    exps = D.e.copy()
+    exps[g] = int(e) % D.h  # a narrow numpy e % h raises when h does not fit e's dtype
+    return Unimodular(D.group, D.h, exps)
+
+
+def autocorrelation(D: Unimodular, shift) -> CycInt:
+    """Exact cyclic autocorrelation sum a_i * conj(a_{i+shift}) of D's array as a CycInt.
+
+    The array is D's exponents over the factors of its abelian group, row-major.
+    """
+    dims = D.group.abelian_factors
+    shift = tuple(int(s) % d for s, d in zip(shift, dims))
+    t = D.e.astype(np.int64).reshape(dims)  # unsigned exponents would wrap on subtraction
+    shifted = np.roll(t, tuple(-s for s in shift), axis=tuple(range(len(dims))))
+    hist = np.bincount(((t - shifted) % D.h).ravel(), minlength=D.h)
+    return CycInt(D.h, tuple(int(c) for c in hist))
 
 
 def neg(R, x):

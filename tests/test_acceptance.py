@@ -26,13 +26,14 @@ from butson.construct import (
 from butson.cyclotomic import CycInt, is_zero
 from butson.errors import WrongSubgroupOrder
 from butson.groups import GroupRingElt, make_abelian, make_from_table, make_semidirect
-from butson.arrays import to_array, verify_perfect
+from butson.fileio import format_array, read_array
 from butson.rings import chain_ring
 from butson.sums import prime_divisors, semigroup_member, unit_sum, zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import build_instance_gallery, quaternion_table
-from oracles import autocorrelation, block_defect, equals_integer, gauss_sum, norm_sq, verify_by_characters
+from oracles import (autocorrelation, block_defect, equals_integer, gauss_sum, norm_sq, verify_by_characters,
+                     with_coefficient)
 
 
 def timed(budget_s, fn):
@@ -172,16 +173,17 @@ def test_criterion_07_line_instances():
           f"all constraint families re-verified [{total:.2f} s total]")
 
 
-def test_criterion_08_perfect_array_export():
+def test_criterion_08_perfect_array_export(tmp_path):
     R = chain_ring("galois", 2, 1, 2)
     D = construct_partition_bh(R, 1, [0, 1], 2)
-    A = to_array(D)
-    assert A.dims == (4, 4)
+    (tmp_path / "d.arr").write_text(format_array(D))
+    A = read_array(tmp_path / "d.arr")
+    assert A.group.abelian_factors == (4, 4)
     shifts = [(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)]
     assert len(shifts) == 15
     for s in shifts:
         assert equals_integer(autocorrelation(A, s), 0)
-    mutated = A.with_entry(5, (A.E.flat[5] + 1) % 2)
+    mutated = with_coefficient(A, 5, int(A.e[5]) + 1)
     assert any(not is_zero(autocorrelation(mutated, s)) for s in shifts)
     print("\nPASS criterion 8: 4x4 two-phase array perfect at all 15 shifts; "
           "mutation breaks it")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from butson import construct, errors, groups, verify
+from butson import construct, errors, groups, rings, verify
 from butson.cli import main
 from butson.groups import GroupRingElt
 from butson.rings import ChainRing, chain_ring
@@ -98,6 +98,8 @@ _MALFORMED = {
     "abelian-x": (None, ["construct", "group", "--order", "4", "--h", "2", "--group", "abelian:2,x"]),
     "missing-table": (None, ["construct", "group", "--order", "4", "--h", "2",
                              "--group", "table:missing.txt"]),
+    "table-order-0": ("order 0\n", ["construct", "group", "--order", "1", "--h", "1", "--group", "table:{file}"]),
+    "table-order--1": ("order -1\n0\n", ["construct", "group", "--order", "1", "--h", "1", "--group", "table:{file}"]),
     "header-h-x": ("bh h=x order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
     "empty-file": ("", ["verify", "{file}"]),
     "h-0": ("bh h=0 order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
@@ -404,6 +406,25 @@ def test_ring_info_builds_no_product_table(monkeypatch, capsys, product_tables_b
     assert run("ring-info", "--family", "galois", "--p", "2", "--d", "2", "--n", "2") == 0
     assert "order:         16" in capsys.readouterr().out
     assert product_tables_built == ["GR(2^2, 2)"]  # the direct read above, nothing after it
+
+
+def test_ring_info_lists_no_elements(monkeypatch, capsys):
+    # GF(2^20): listing its elements and finding its modulus took seconds; ring-info needs neither
+    def refuse(p, d):
+        raise AssertionError(f"irreducible_poly({p}, {d}) was called")
+
+    monkeypatch.setattr(rings, "irreducible_poly", refuse)
+    made = []
+    monkeypatch.setattr(rings, "chain_ring", lambda *args: made.append(ChainRing(*args)) or made[-1])
+    assert run("ring-info", "--family", "galois", "--p", "2", "--d", "20", "--n", "1") == 0
+    assert capsys.readouterr().out == (
+        "ring:          GR(2^1, 20)\n"
+        "order:         1048576\n"
+        "units:         1048575\n"
+        "ideal sizes:   [1048576, 1]\n"
+        "additive type: Z_" + " x Z_".join(["2"] * 20) + "\n"
+    )
+    assert len(made) == 1 and "elements" not in vars(made[0]) and "modulus" not in vars(made[0])
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,11 +17,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from butson import fileio
-from butson.arrays import PerfectArray, verify_perfect
+from butson.arrays import array_group
 from butson.construct import block_count, construct_group_bh, find_normal_cyclic_generator, min_h
 from butson.errors import ButsonError, InvalidParams, NotAGroup
-from butson.groups import GroupRingElt, exponent_dtype, make_abelian, make_cyclic
-from butson.verify import BhMatrix, materialize, verify_bh
+from butson.groups import GroupRingElt, Unimodular, exponent_dtype, make_abelian, make_cyclic
+from butson.verify import BhMatrix, materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
 from oracles import is_abelian, same_as
@@ -155,7 +155,7 @@ def test_array_body_text_raises_only_butson_errors(tmp_path, body):
         rows = [ln.split() for ln in body.splitlines() if ln.strip()]
         assert all(len(row) == 2 for row in rows), body
         assert all(re.fullmatch(r"[0-9]+", x) and int(x) < 3 for row in rows for x in row), body
-        assert A.E.ravel().tolist() == [int(x) for row in rows for x in row]
+        assert A.e.tolist() == [int(x) for row in rows for x in row]
 
 
 _HEADER_NUMS = (st.integers(-3, 12) | st.integers(2**40, 2**300) | st.integers(-2**300, -2**40)).map(str)
@@ -229,7 +229,8 @@ def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
     ("order 2\n0 1\n1 \u0660", "needs 'order n' and rows of integers"),
     ("order 2\n0 1\n1_0 0", "needs 'order n' and rows of integers"),
     ("order 2\n0 1\n1 99999999999999999999", "needs 'order n' and rows of integers"),
-    ("order 0", "table entries out of range"),
+    ("order 0", "order must be positive, got 0"),
+    ("order -1\n0", "order must be positive, got -1"),
     ("order 2\n0 1\n1 2", "table entries out of range"),
     ("order 2\n0 1\n0 1", "element 0 is not a two-sided identity"),
 ])
@@ -272,12 +273,13 @@ def test_tokens_read_into_the_narrow_dtype(tmp_path, h, dtype, tokens):
         rows = [" ".join(values[i : i + 3]) for i in range(0, 9, 3)]
         (tmp_path / "m.bh").write_text("\n".join([f"bh h={h} order=3", "cyclic 3", *rows]) + "\n")
         (tmp_path / "a.arr").write_text("\n".join([f"array h={h} dims=3,3", *rows]) + "\n")
-        for read, path in ((fileio.read_matrix, tmp_path / "m.bh"), (fileio.read_array, tmp_path / "a.arr")):
+        for read, path, attr in ((fileio.read_matrix, tmp_path / "m.bh", "E"),
+                                 (fileio.read_array, tmp_path / "a.arr", "e")):
             if str(h) in values:
                 with pytest.raises(ButsonError, match="3 rows of 3 exponents, each an integer"):
                     read(path)
                 continue
-            E = read(path).E
+            E = getattr(read(path), attr)
             assert E.dtype == exponent_dtype(h) == dtype and not E.flags.writeable
             assert E.ravel().tolist() == [int(x) for x in values]
 
@@ -343,8 +345,8 @@ def test_body_grammar_accepts_what_the_writers_emit_and_blanks(tmp_path, kind, b
     if kind == "table":
         assert same_as(fileio.parse_group_spec("table:table.txt", base_dir=tmp_path), make_cyclic(2))
     else:
-        read = fileio.read_array if kind == "array" else fileio.read_matrix
-        assert read(path).E.ravel().tolist() == [0, 1, 1, 0]
+        E = fileio.read_array(path).e if kind == "array" else fileio.read_matrix(path).E
+        assert E.ravel().tolist() == [0, 1, 1, 0]
 
 
 @pytest.mark.parametrize("kind", ["matrix", "array", "table"])
@@ -373,8 +375,8 @@ def test_writers_match_str_join_reference():
     rows = [[rng.randrange(236) for _ in range(12)] for _ in range(12)]
     want = ["bh h=236 order=12", "cyclic 12"] + [" ".join(str(e) for e in r) for r in rows]
     assert fileio.format_matrix(BhMatrix(236, G, rows)) == "\n".join(want) + "\n"
-    A = PerfectArray((2, 3, 4), 105, tuple(rng.randrange(105) for _ in range(24)))
-    flat = [str(e) for e in A.E.ravel().tolist()]
+    A = Unimodular(array_group((2, 3, 4)), 105, tuple(rng.randrange(105) for _ in range(24)))
+    flat = [str(e) for e in A.e.tolist()]
     want = ["array h=105 dims=2,3,4"] + [" ".join(flat[i : i + 4]) for i in range(0, 24, 4)]
     assert fileio.format_array(A) == "\n".join(want) + "\n"
 
@@ -410,18 +412,22 @@ def test_parse_group_spec_forms():
         fileio.parse_group_spec("cyclic")
 
 
-def test_array_round_trip(tmp_path):
-    A = PerfectArray((2, 4), 4, (0, 1, 2, 3, 1, 0, 3, 2))
+def test_array_round_trip(tmp_path, monkeypatch):
+    A = Unimodular(array_group((2, 4)), 4, (0, 1, 2, 3, 1, 0, 3, 2))
     path = tmp_path / "a.arr"
     path.write_text(fileio.format_array(A))
+    read = []
+    rows = fileio._rows
+    monkeypatch.setattr(fileio, "_rows", lambda *args: read.append(rows(*args)) or read[-1])
     back = fileio.read_array(path)
-    assert back.dims == A.dims and back.h == A.h and np.array_equal(back.E, A.E)
+    assert back.group.abelian_factors == (2, 4) and back.h == A.h and np.array_equal(back.e, A.e)
+    assert np.shares_memory(back.e, read[0])  # the narrow read-only body is kept without a copy
 
 
 def test_array_format_frozen():
-    A = PerfectArray((4,), 2, (0, 0, 0, 1))
+    A = Unimodular(make_cyclic(4), 2, (0, 0, 0, 1))
     assert fileio.format_array(A) == "array h=2 dims=4\n0 0 0 1\n"
-    assert verify_perfect(A)
+    assert verify_group_ring(A)
 
 
 def test_array_entry_count_validation(tmp_path):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,6 +19,27 @@ def run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_array_mutant_shifts_one_entry_without_wrapping(tmp_path, monkeypatch, capsys):
+    # h = 184: an entry near 183 plus a shift near 183 passes 255, where a uint8 sum would wrap
+    census = load_script("census.py")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        census.group_case(46, "cyclic:46", 184)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verify-array m.arr\t1\t")
+    rng = random.Random("cyclic:46 184")
+    i, shift = rng.randrange(46), rng.randrange(1, 184)
+    g, m = ([int(x) for x in (tmp_path / name).read_text().split()[3:]] for name in ("g.arr", "m.arr"))
+    assert [k for k in range(46) if g[k] != m[k]] == [i] and (m[i] - g[i]) % 184 == shift
 
 
 def test_coldstart_compares_one_round():

@@ -8,8 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from butson import arrays, groups, verify
-from butson.arrays import PerfectArray, to_array, verify_perfect
+from butson import groups, verify
+from butson.arrays import array_group
 from butson.construct import (
     block_count,
     construct_group_bh,
@@ -26,7 +26,7 @@ from butson.verify import BhMatrix, invariance_witness, materialize, verify_bh, 
 
 from oracles import (
     autocorrelation, coeffs, gr_conj_inv, gr_mul, group_mul, integer, unimodular_products, verify_by_characters,
-    verify_by_gr_mul, with_entry,
+    verify_by_gr_mul, with_coefficient, with_entry,
 )
 
 
@@ -375,14 +375,19 @@ def test_kernels_match_oracles_across_chunk_boundaries(monkeypatch, instance_gal
                 report = verify_bh(bad, full=full)
                 got = (report.is_bh, report.is_invariant, report.first_failure, report.pairs_checked)
                 assert got == _scalar_verdict(bad, full), (G.descriptor, full)
-    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
-    assert A.dims == (9, 9)
-    size = A.E.size
-    shifts = [s for s in itertools.product(*map(range, A.dims)) if any(s)]
-    for B in [A, A.with_entry(size - 1, A.E.flat[-1] + 1),
-              PerfectArray(A.dims, A.h, tuple(rng.randrange(A.h) for _ in range(size)))]:
-        assert verify_perfect(B) == all(is_zero(autocorrelation(B, s)) for s in shifts)
-    assert verify_perfect(A)
+    A = _array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    dims, size = A.group.abelian_factors, A.group.order
+    assert dims == (9, 9)
+    shifts = [s for s in itertools.product(*map(range, dims)) if any(s)]
+    for B in [A, with_coefficient(A, size - 1, int(A.e[-1]) + 1),
+              Unimodular(A.group, A.h, tuple(rng.randrange(A.h) for _ in range(size)))]:
+        assert verify_group_ring(B) == all(is_zero(autocorrelation(B, s)) for s in shifts)
+    assert verify_group_ring(A)
+
+
+def _array(D):
+    """D over the group of its array file, as `fileio.read_array` returns it."""
+    return Unimodular(array_group(D.group.abelian_factors), D.h, D.e)
 
 
 def test_verify_perfect_builds_no_cayley_table(monkeypatch, instance_gallery):
@@ -397,9 +402,9 @@ def test_verify_perfect_builds_no_cayley_table(monkeypatch, instance_gallery):
         return block
 
     monkeypatch.setattr(groups.FiniteGroup, "rows", spy)
-    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
-    assert arrays.verify_perfect(A) and not arrays.verify_perfect(A.with_entry(40, A.E.flat[40] + 1))
-    assert blocks and max(blocks) == 1000 // A.E.size < A.E.size
+    A = _array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    assert verify_group_ring(A) and not verify_group_ring(with_coefficient(A, 40, int(A.e[40]) + 1))
+    assert blocks and max(blocks) == 1000 // A.e.size < A.e.size
 
 
 def test_a_defect_in_the_first_batch_ends_the_check(monkeypatch, instance_gallery):
@@ -407,13 +412,13 @@ def test_a_defect_in_the_first_batch_ends_the_check(monkeypatch, instance_galler
     calls = []
     kernel = verify.difference_histograms
     monkeypatch.setattr(verify, "difference_histograms", lambda *args: calls.append(1) or kernel(*args))
-    A = to_array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
-    step = 1000 // A.E.size
-    assert arrays.verify_perfect(A) and len(calls) == -(-(A.E.size - 1) // step)  # g = 1..n-1
-    mutant = A.with_entry(0, A.E.flat[0] + 1)
-    assert verify.correlation_defects(make_abelian(A.dims), A.h, mutant.E.ravel())[0] < 1 + step
+    A = _array(dict(instance_gallery)["partition-galois-3-1-2-h3"])
+    step = 1000 // A.e.size
+    assert verify_group_ring(A) and len(calls) == -(-(A.e.size - 1) // step)  # g = 1..n-1
+    mutant = with_coefficient(A, 0, int(A.e[0]) + 1)
+    assert verify.correlation_defects(A.group, A.h, mutant.e)[0] < 1 + step
     calls.clear()
-    assert not arrays.verify_perfect(mutant) and len(calls) == 1
+    assert not verify_group_ring(mutant) and len(calls) == 1
 
 
 def _as_int64(x, name):
@@ -459,10 +464,10 @@ def test_narrow_and_int64_exponents_give_equal_reports(dtype_cases):
             assert np.array_equal(verify.correlation_defects(D.group, D.h, U.e.astype(np.int64)), defects), name
             assert verify_group_ring(U) == verify_group_ring(_as_int64(wide, "e")) == (i == 0), name
             if D.group.abelian_factors is not None:
-                A = to_array(U)
-                B = PerfectArray(A.dims, A.h, A.E.astype(np.int64))
-                assert B.E.dtype == A.E.dtype, name
-                assert verify_perfect(A) == verify_perfect(_as_int64(B, "E")) == (i == 0), name
+                A = _array(U)
+                B = Unimodular(A.group, A.h, A.e.astype(np.int64))
+                assert B.e.dtype == A.e.dtype, name
+                assert verify_group_ring(A) == verify_group_ring(_as_int64(B, "e")) == (i == 0), name
         for i, X in enumerate(matrices):
             wide = BhMatrix(X.h, X.group, X.E.astype(np.int64))
             assert np.array_equal(wide.E, X.E) and wide.E.dtype == X.E.dtype, name
