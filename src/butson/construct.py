@@ -13,6 +13,10 @@ the group, and verifies it exactly before returning it.
 Constructions 2 and 3 take each element of R as its index, and their ring
 arithmetic is gathers from `R.add_table` and `R.mul_table` and reads of
 `R.phi` and `R.coset_chain()`.  In R x R, (x, y) is the element x |R| + y.
+Construction 2's partition is one index array, the part of each element of R.
+Each sum of roots the two constructions rely on (construction 2's weights,
+every equation of construction 3's scheme) is checked as one
+`sums.SumWitness`, and a failed self-check raises `SelfCheckFailed`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cyclotomic import CycInt, is_zero, reduce_rows, reduction_matrix
+from .cyclotomic import reduce_rows, reduction_matrix
 from .errors import (
     BadEtaSum,
     BadH,
@@ -251,25 +255,27 @@ def find_normal_cyclic_generator(G: FiniteGroup, order: int) -> int:
 # -- construction 2: partition of R x R --------------------------------------
 
 
-def partition_R(R: ChainRing, t: int, seed: int | None = None) -> list[list[int]]:
-    """Partition R's element indices into p^t parts meeting every coset of I^(n-1) equally.
+def partition_R(R: ChainRing, t: int, seed: int | None = None) -> np.ndarray:
+    """The part, one of p^t, of each element of R; every part meets every coset of I^(n-1) equally.
 
-    Cosets are enumerated canonically and their elements dealt round-robin;
-    a seed shuffles the within-coset order to explore alternative partitions.
+    The elements of each coset are dealt round-robin, cosets in canonical
+    order; a seed shuffles the order within each coset to explore other
+    partitions.  Returns an (|R|,) index array.
     """
     check_t(R, t)
-    parts: list[list[int]] = [[] for _ in range(R.p**t)]
+    parts = R.p**t
     cosets = _top_ideal_cosets(R)
-    rng = random.Random(seed) if seed is not None else None
-    slot = 0
-    for coset in cosets:
-        if rng is not None:
+    if seed is not None:
+        rng = random.Random(seed)
+        for coset in cosets:
             rng.shuffle(coset)
-        for y in coset:
-            parts[slot % len(parts)].append(y)
-            slot += 1
-    _check_partition(cosets, parts, R.p ** (R.d - t))
-    return parts
+    part_of = np.zeros(R.size, dtype=np.intp)
+    # each coset has p^d elements, a multiple of p^t, so the deal restarts at part 0 in every coset
+    part_of[cosets] = np.arange(cosets.shape[1]) % parts
+    met = part_of[cosets] * len(cosets) + np.arange(len(cosets))[:, None]  # (part, coset) of each element
+    if (np.bincount(met.ravel(), minlength=parts * len(cosets)) != R.p ** (R.d - t)).any():
+        raise SelfCheckFailed("the partition does not meet every coset of I^(n-1) evenly")
+    return part_of
 
 
 def check_t(R: ChainRing, t: int) -> None:
@@ -278,18 +284,10 @@ def check_t(R: ChainRing, t: int) -> None:
         raise BadT(f"t must be in 1..{R.d}, got {t}")
 
 
-def _top_ideal_cosets(R: ChainRing) -> list[list[int]]:
-    """The cosets of I^(n-1), ascending, ordered by their least element."""
+def _top_ideal_cosets(R: ChainRing) -> np.ndarray:
+    """The cosets of I^(n-1) as the rows of one array, ordered by their least element, each ascending."""
     S = np.sort(R.add_table[R.ideal_elements(R.n - 1)], axis=0)  # column x: the coset x + I^(n-1)
-    return S[:, S[0] == np.arange(R.size)].T.tolist()
-
-
-def _check_partition(cosets, parts, expected: int) -> None:
-    for part in parts:
-        pset = set(part)
-        for coset in cosets:
-            if sum(1 for y in coset if y in pset) != expected:
-                raise BadT("partition does not meet a coset of I^(n-1) evenly")
+    return S[:, S[0] == np.arange(R.size)].T
 
 
 def ring_square_group(R: ChainRing) -> FiniteGroup:
@@ -308,11 +306,8 @@ def construct_partition_bh(
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
     G = ring_square_group(R)  # refuses a too-large R x R first
-    part_of = np.zeros(R.size, dtype=np.intp)
-    for i, part in enumerate(partition_R(R, t, seed=seed)):
-        part_of[part] = i
     # row x of the gather holds phi(x) y for every y: the entries (x, y), at x |R| + y
-    e = np.array(etas)[part_of[R.mul_table[R.phi]]]
+    e = np.array(etas)[partition_R(R, t, seed=seed)[R.mul_table[R.phi]]]
     return _self_checked(Unimodular(G, h, e))
 
 
@@ -324,9 +319,9 @@ class CoefficientScheme:
     """Root-of-unity families tied together over the coset chain of R.
 
     eta_r covers R, mu_s covers I, delta_u covers the transversals R_1..R_(n-1),
-    and gamma_v covers pi R_0..pi R_(n-2) plus the extension gamma_v = mu_v on
-    pi R_(n-1), which makes the top-level equation well defined when n = 2.
-    Each dict is keyed by element index.
+    and gamma_v covers pi R_0..pi R_(n-2).  Each dict is keyed by element
+    index.  Only the top-level equation of a ring with n = 2 reads gamma on
+    pi R_1, through the extension gamma_v = mu_v.
     """
 
     h: int
@@ -335,11 +330,6 @@ class CoefficientScheme:
     delta_u: dict
     mu_s: dict
     gamma_v: dict
-
-    def gamma_extended(self, v) -> int:
-        if v in self.gamma_v:
-            return self.gamma_v[v]
-        return self.mu_s[v]
 
 
 def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
@@ -376,7 +366,7 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
     def refine_internal(values: dict, nodes, level: int, step: int) -> None:
         # siblings of the node itself must carry a vanishing sum
         try:
-            sibs = zero_sum(q - 1, h) if q > 1 else None
+            sibs = zero_sum(q - 1, h)
         except NoDecomposition as exc:
             raise NoScheme(
                 f"no vanishing sum of length {q - 1} for h={h}: {exc}"
@@ -395,59 +385,49 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
     for j in range(0, n - 2):
         refine_internal(gamma, pi_chain[j], j, 1)
 
-    # leaves: eta_r on cosets u + I^(n-1), mu_s on cosets v + I^(n-1)
     ideal_min = R.ideal_elements(n - 1)
-    eta_r: dict = {}
-    for u in chain[n - 1]:
-        try:
-            w = unit_sum(q, h, delta[u])
-        except NoSolution as exc:
-            raise NoScheme(f"no unit sum of length {q} for h={h}: {exc}") from exc
-        eta_r.update(zip(A[u, ideal_min].tolist(), w.exps))
-    mu_s: dict = {}
-    for v in pi_chain[n - 2]:
-        try:
-            w = unit_sum(q, h, gamma[v])
-        except NoSolution as exc:
-            raise NoScheme(f"no unit sum of length {q} for h={h}: {exc}") from exc
-        mu_s.update(zip(A[v, ideal_min].tolist(), w.exps))
 
+    def leaves(values: dict, nodes) -> dict:
+        # the coset node + I^(n-1) carries a unit sum of q roots equal to the node's value
+        out: dict = {}
+        for node in nodes:
+            try:
+                w = unit_sum(q, h, values[node])
+            except NoSolution as exc:
+                raise NoScheme(f"no unit sum of length {q} for h={h}: {exc}") from exc
+            out.update(zip(A[node, ideal_min].tolist(), w.exps))
+        return out
+
+    eta_r = leaves(delta, chain[n - 1])
+    mu_s = leaves(gamma, pi_chain[n - 2])
     scheme = CoefficientScheme(h, eta, eta_r, delta, mu_s, gamma)
     _check_scheme(R, scheme, chain, pi_chain)
     return scheme
 
 
 def _check_scheme(R: ChainRing, s: CoefficientScheme, chain, pi_chain) -> None:
-    """Re-verify every instance of the three equation families by is_zero."""
+    """Re-verify every instance of the three equation families, each as one `SumWitness`; survives python -O."""
+    from .sums import SumWitness
+
     h, n, A = s.h, R.n, R.add_table
 
-    def root(e):
-        return CycInt.root(h, e)
+    def holds(exps, target: int) -> bool:
+        return SumWitness(h, tuple(exps), target).check()
 
     for i in range(1, n):
         ideal = R.ideal_elements(i)
         for u in chain[i]:
-            acc = CycInt.zero(h)
-            for x in A[u, ideal].tolist():
-                acc = acc + root(s.eta_r[x])
-            if not is_zero(acc - root(s.delta_u[u])):
-                raise NoScheme(f"first-family equation fails at level {i}")
+            if not holds([s.eta_r[x] for x in A[u, ideal].tolist()], s.delta_u[u]):
+                raise SelfCheckFailed(f"first-family equation fails at level {i}")
     for j in range(0, n - 1):
         ideal = R.ideal_elements(j + 1)
         for v in pi_chain[j]:
-            acc = CycInt.zero(h)
-            for x in A[v, ideal].tolist():
-                acc = acc + root(s.mu_s[x])
-            if not is_zero(acc - root(s.gamma_extended(v))):
-                raise NoScheme(f"second-family equation fails at level {j}")
-    acc = CycInt.zero(h)
-    for u in chain[1]:
-        acc = acc + root(s.delta_u[u])
+            if not holds([s.mu_s[x] for x in A[v, ideal].tolist()], s.gamma_v[v]):
+                raise SelfCheckFailed(f"second-family equation fails at level {j}")
     # for n = 2 the sum over pi R_1 reads through the extension gamma_v = mu_v
-    for v in pi_chain[1]:
-        acc = acc + root(s.gamma_v[v] if n > 2 else s.mu_s[v])
-    if not is_zero(acc - root(s.eta)):
-        raise NoScheme("top-level equation fails")
+    top = [s.delta_u[u] for u in chain[1]] + [s.gamma_v[v] if n > 2 else s.mu_s[v] for v in pi_chain[1]]
+    if not holds(top, s.eta):
+        raise SelfCheckFailed("top-level equation fails")
 
 
 def construct_line_bh(R: ChainRing, scheme: CoefficientScheme) -> Unimodular:

@@ -2,9 +2,11 @@
 
 Values are integer coefficient vectors over the powers zeta_h^0..zeta_h^(h-1),
 kept unreduced; reduction modulo the h-th cyclotomic polynomial happens only
-inside the zero tests.  The library only adds and subtracts `CycInt`s, whose
-coefficients are Python ints, and `is_zero` reduces one by exact polynomial
-division; their products are test oracles, in `tests/oracles.py`.
+inside the zero tests.  Coefficients are Python ints.  The library's one sum
+of roots is `sums.SumWitness.value`, which counts exponents instead of adding
+roots; `check` subtracts its target root, and `is_zero` reduces the difference
+by exact polynomial division.  Products of `CycInt`s are test oracles, in
+`tests/oracles.py`.
 
 The batched test `zero_rows` reduces a whole (N, h) coefficient array at once
 as `hist @ reduction_matrix(h)`, whose row j holds x^j mod Phi_h.  It runs in
@@ -42,10 +44,6 @@ class CycInt:
             raise ValueError(
                 f"need exactly {self.h} coefficients, got {len(self.coeffs)}"
             )
-
-    @classmethod
-    def zero(cls, h: int) -> "CycInt":
-        return cls(h, (0,) * h)
 
     @classmethod
     def root(cls, h: int, e: int) -> "CycInt":

@@ -4,6 +4,11 @@ A sum of h-th roots of unity of length L vanishes only if L lies in the
 numerical semigroup generated by the prime divisors of h; conversely such an
 L always admits a sum built from full prime cycles.  Witnesses returned here
 are deterministic and verified exactly before being handed back.
+
+`SumWitness` is the library's one statement that roots of unity sum to
+zeta_h^t or to 0: constructions 2 and 3 check their sums through it too.  Its
+value is the count of each exponent mod h, O(L + h), and `check` reduces that
+with the scalar `cyclotomic.is_zero`, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ class SumWitness:
     target: int | None  # None means the sum vanishes
 
     def value(self) -> CycInt:
-        acc = CycInt.zero(self.h)
+        """The sum, as the count of each exponent mod h."""
+        counts = [0] * self.h
         for e in self.exps:
-            acc = acc + CycInt.root(self.h, e)
-        return acc
+            counts[e % self.h] += 1
+        return CycInt(self.h, tuple(counts))
 
     def check(self) -> bool:
         v = self.value()
@@ -135,11 +141,8 @@ def unit_sum(L: int, h: int, target: int) -> SumWitness:
         if exps is not None:
             return _checked(SumWitness(h, tuple(exps), target))
     if L <= _SEARCH_MAX_LEN and h**L <= _SEARCH_CAP:
-        goal = CycInt.root(h, target)
         for combo in combinations_with_replacement(range(h), L):
-            acc = CycInt.zero(h)
-            for e in combo:
-                acc = acc + CycInt.root(h, e)
-            if is_zero(acc - goal):
-                return SumWitness(h, combo, target)
+            w = SumWitness(h, combo, target)
+            if w.check():
+                return w
     raise NoSolution(f"no sum of {L} order-{h} roots equal to zeta^{target} found")

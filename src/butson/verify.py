@@ -7,8 +7,8 @@ and in 0..h-1, as `materialize` and `read_matrix` hand it one, and reduces
 anything else into an array of its own, so a caller's array is never
 frozen.  `materialize` fills E in the dtype of the element's `e`, and
 `invariance_witness` checks it, in row blocks (`groups.row_slices`), each
-gathered from `FiniteGroup.rows` and `inverse`: no Cayley table and no
-temporary of E's size.
+gathered from `FiniteGroup.rows` and then, narrow, at `inverse`: no Cayley
+table, no temporary of E's size, and one intp temporary per block.
 `materialize` and `verify_group_ring` take a `groups.Unimodular`, or a
 `GroupRingElt` that `as_unimodular` converts (else `NonUnimodular`).  Every
 exact check gathers its own rows, counts their exponent differences with
@@ -74,9 +74,14 @@ def materialize(G: FiniteGroup, D: Unimodular | GroupRingElt) -> BhMatrix:
     if U is None:
         raise NonUnimodular("all coefficients must be single roots of unity")
     E = np.empty((G.order, G.order), dtype=U.e.dtype)
-    for block in row_slices(G.order, G.order):  # cell (g, k) of a block is e[g k^(-1)]
-        E[block] = U.e[G.rows(block)[:, G.inverse]]
+    for block in row_slices(G.order, G.order):
+        E[block] = _quotients(U.e, G, block)
     return BhMatrix(U.h, G, _frozen(E))
+
+
+def _quotients(e: np.ndarray, G: FiniteGroup, block: slice) -> np.ndarray:
+    """Cell (g, k) is e[g k^(-1)] for g in the block: e is gathered at the rows, then narrow at the inverses."""
+    return e[G.rows(block)][:, G.inverse]
 
 
 def _pair_blocks(E: np.ndarray, h: int):
@@ -112,7 +117,7 @@ def invariance_witness(M: BhMatrix) -> tuple[int, int, int] | None:
     # invariant iff E[g][k] == E[g k^(-1)][0] for all g, k; blocks go in row-major order
     G, col0 = M.group, M.E[:, 0].copy()
     for block in row_slices(G.order, G.order):
-        bad = np.argwhere(col0[G.rows(block)[:, G.inverse]] != M.E[block])
+        bad = np.argwhere(_quotients(col0, G, block) != M.E[block])
         if len(bad):
             g, k = block.start + int(bad[0][0]), int(bad[0][1])
             return g, k, G.inv(k)

@@ -5,14 +5,16 @@ Cayley table, arithmetic in Z[zeta_h] and in the group ring over
 `GroupRingElt` coefficients, characters of abelian groups, D D^(-1) = |G| by
 `gr_mul` and by characters, the histograms of x y^(-1) for unimodular x and
 y, construction 1's block identities, one shift's autocorrelation, each
-chain-ring family's closed forms of the valuation and the unit part, and
-construction 3's line family.  A library method they need is a function here
+chain-ring family's closed forms of the valuation and the unit part,
+construction 2's partition as lists of element indices, and construction 3's
+line family.  A library method they need is a function here
 taking the object first: `x * y` of two `CycInt`s reads `cyc_mul(x, y)`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +180,7 @@ def gr_add(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
 def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     _check_pair(x, y)
     G, h = x.group, x.h
-    out = [CycInt.zero(h) for _ in G.elements()]
+    out = [integer(h, 0) for _ in G.elements()]
     for a, ca in enumerate(coeffs(x)):
         if all(v == 0 for v in ca.coeffs):
             continue
@@ -193,7 +195,7 @@ def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
 
 def gr_conj_inv(x: GroupRingElt) -> GroupRingElt:
     G = x.group
-    out = [CycInt.zero(x.h)] * G.order
+    out = [integer(x.h, 0)] * G.order
     for g, c in enumerate(coeffs(x)):
         out[G.inv(g)] = conj(c)
     return GroupRingElt(G, x.h, tuple(out))
@@ -216,7 +218,7 @@ def apply_char(table: CharacterTable, row_index: int, X: GroupRingElt | Unimodul
         for g, e in enumerate(U.e.tolist()):
             hist[(e * sh + row[g] * sH) % L] += 1
         return CycInt(L, tuple(hist))
-    acc = CycInt.zero(L)
+    acc = integer(L, 0)
     for g, c in enumerate(coeffs(X)):
         acc = acc + cyc_mul(embed(c, L), CycInt.root(L, row[g] * sH))
     return acc
@@ -377,6 +379,35 @@ def ring_phi(R, x) -> tuple[int, ...]:
     for _ in range(t):
         y = T.item(y, pi)
     return R.elements[y]
+
+
+def partition_parts(R, t: int, seed: int | None = None) -> list[list[int]]:
+    """R's element indices in p^t parts, each meeting every coset of I^(n-1) in p^(d-t) of them.
+
+    The cosets, each ascending and ordered by their least element, are dealt
+    round-robin; a seed shuffles each coset, in that order, with one
+    random.Random(seed).
+    """
+    A, ideal = R.add_table.tolist(), R.ideal_elements(R.n - 1).tolist()
+    cosets, seen = [], set()
+    for x in range(R.size):
+        if x not in seen:
+            cosets.append(sorted(A[x][i] for i in ideal))
+            seen.update(cosets[-1])
+    parts: list[list[int]] = [[] for _ in range(R.p**t)]
+    rng = random.Random(seed) if seed is not None else None
+    slot = 0
+    for coset in cosets:
+        if rng is not None:
+            rng.shuffle(coset)
+        for y in coset:
+            parts[slot % len(parts)].append(y)
+            slot += 1
+    for part in parts:
+        pset = set(part)
+        for coset in cosets:
+            assert sum(1 for y in coset if y in pset) == R.p ** (R.d - t), "a part meets a coset unevenly"
+    return parts
 
 
 def line_family(R):

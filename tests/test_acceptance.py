@@ -32,7 +32,7 @@ from butson.sums import prime_divisors, semigroup_member, unit_sum, zero_sum
 from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import build_instance_gallery, quaternion_table
-from oracles import (autocorrelation, block_defect, equals_integer, gauss_sum, norm_sq, verify_by_characters,
+from oracles import (autocorrelation, block_defect, equals_integer, gauss_sum, integer, norm_sq, verify_by_characters,
                      with_coefficient)
 
 
@@ -148,7 +148,7 @@ def test_criterion_07_line_instances():
 
         # re-verify every constraint instance with sums coded in this test
         def root_sum(exponents):
-            acc = CycInt.zero(6)
+            acc = integer(6, 0)
             for e in exponents:
                 acc = acc + CycInt.root(6, e)
             return acc
@@ -164,7 +164,7 @@ def test_criterion_07_line_instances():
             for v in set(T[R.pi, chain[j]].tolist()):
                 lhs = root_sum(scheme.mu_s[x]
                                for x in A[v, R.ideal_elements(j + 1)].tolist())
-                assert is_zero(lhs - CycInt.root(6, scheme.gamma_extended(v)))
+                assert is_zero(lhs - CycInt.root(6, scheme.gamma_v[v]))
         top = root_sum([scheme.delta_u[u] for u in chain[1]] +
                        [scheme.gamma_v[v] if R.n > 2 else scheme.mu_s[v]
                         for v in set(T[R.pi, chain[1]].tolist())])

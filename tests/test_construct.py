@@ -53,6 +53,7 @@ from butson.verify import materialize, verify_bh, verify_group_ring
 from conftest import quaternion_table
 from oracles import (
     abelian_coords, apply_char, block_defect, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq,
+    partition_parts,
 )
 
 
@@ -230,14 +231,13 @@ def test_deal_blocks_refuses_where_no_set_is_closed():
 
 def test_partition_shape():
     R = chain_ring("galois", 3, 1, 2)
-    parts = partition_R(R, 1)
-    assert len(parts) == 3
+    part_of = partition_R(R, 1)
+    assert part_of.shape == (R.size,) and part_of.dtype == np.intp
+    assert np.bincount(part_of).tolist() == [R.size // 3] * 3
     ideal = R.ideal_elements(R.n - 1)
-    for part in parts:
-        assert len(part) == R.size // 3
-        for x in range(R.size):
-            coset = set(R.add_table[x, ideal].tolist())
-            assert len(coset & set(part)) == 3 ** (R.d - 1)
+    for x in range(R.size):
+        coset = R.add_table[x, ideal]
+        assert np.bincount(part_of[coset], minlength=3).tolist() == [3 ** (R.d - 1)] * 3
 
 
 def test_partition_rejects_bad_t():
@@ -250,7 +250,27 @@ def test_partition_rejects_bad_t():
 
 def test_partition_seed_is_reproducible():
     R = chain_ring("galois", 3, 1, 2)
-    assert partition_R(R, 1, seed=5) == partition_R(R, 1, seed=5)
+    assert np.array_equal(partition_R(R, 1, seed=5), partition_R(R, 1, seed=5))
+
+
+def _rings_up_to(p: int, size: int):
+    """(d, n) for every chain ring of residue characteristic p with p^(d n) <= size."""
+    k = size.bit_length()  # p^k > size
+    return [(d, n) for d in range(1, k) for n in range(1, k) if p ** (d * n) <= size]
+
+
+@pytest.mark.parametrize("family", ["galois", "truncated"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_partition_equals_the_list_reference(family, p):
+    # the same parts as the round-robin deal over lists, with the seeded shuffles in the same order
+    for d, n in _rings_up_to(p, 625):
+        R = chain_ring(family, p, d, n)
+        for t in range(1, d + 1):
+            for seed in (None, 0, 7, 12345):
+                expected = np.zeros(R.size, dtype=np.intp)
+                for i, part in enumerate(partition_parts(R, t, seed)):
+                    expected[part] = i
+                assert np.array_equal(partition_R(R, t, seed), expected), (family, p, d, n, t, seed)
 
 
 def test_partition_bh_instances():
@@ -488,6 +508,35 @@ def test_construction_one_checks_survive_python_O(patch):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_RING = ["--family", "galois", "--p", "2", "--d", "2", "--n", "2"]
+
+
+@pytest.mark.parametrize("patch,argv,message", [
+    # every coset loses an element, so the parts no longer meet it evenly
+    ("cosets = construct._top_ideal_cosets\n"
+     "construct._top_ideal_cosets = lambda R: cosets(R)[:, 1:]",
+     ["construct", "local-partition", *_RING, "--t", "1", "--h", "2"], "the partition does not meet"),
+    # L copies of zeta^t sum to L zeta^t, not to zeta^t
+    ("sums.unit_sum = lambda L, h, t: sums.SumWitness(h, (t,) * L, t)",
+     ["construct", "local-lines", *_RING, "--h", "6"], "first-family equation fails"),
+], ids=["partition", "scheme"])
+def test_ring_construction_checks_survive_python_O(patch, argv, message):
+    code = textwrap.dedent("""
+        import sys
+        from butson import construct, sums
+        from butson.cli import main
+
+        assert sys.flags.optimize, "asserts are on"
+        {patch}
+        sys.exit(main({argv!r}))
+    """).format(patch=patch, argv=argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr.startswith("verification failed:"), proc.stderr
+    assert message in proc.stderr  # the check itself, not the later check of the whole element
 
 
 def _corrupted(blocks, i, g):

@@ -479,7 +479,7 @@ def test_character_orthogonality(factors):
     assert len(T.rows) == G.order
     for i in range(G.order):
         for j in range(G.order):
-            acc = CycInt.zero(T.H)
+            acc = integer(T.H, 0)
             for g in G.elements():
                 acc = acc + CycInt.root(T.H, (T.rows[i][g] - T.rows[j][g]) % T.H)
             assert equals_integer(acc, G.order if i == j else 0)
@@ -541,7 +541,7 @@ def test_group_ring_identity_element():
     G = make_cyclic(5)
     one = GroupRingElt.from_exponents(G, 3, [0] + [0] * 4)
     # a genuine identity: coefficient 1 at the identity, 0 elsewhere
-    e = GroupRingElt(G, 3, (integer(3, 1),) + (CycInt.zero(3),) * 4)
+    e = GroupRingElt(G, 3, (integer(3, 1),) + (integer(3, 0),) * 4)
     x = GroupRingElt.from_exponents(G, 3, [0, 1, 2, 0, 1])
     assert gr_equal(gr_mul(e, x), x)
     assert not gr_equal(one, e)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from butson.cyclotomic import CycInt, is_zero
 from butson.errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
 from butson.sums import SumWitness, prime_divisors, semigroup_member, unit_sum, zero_sum
+
+from oracles import integer
 
 
 def reachable_lengths(primes, limit):
@@ -69,7 +72,7 @@ def test_zero_sum_is_deterministic():
 def unit_sum_feasible_brute(L, h, target):
     root = CycInt.root(h, target)
     for exps in itertools.product(range(h), repeat=L):
-        acc = CycInt.zero(h)
+        acc = integer(h, 0)
         for e in exps:
             acc = acc + CycInt.root(h, e)
         if is_zero(acc - root):
@@ -145,3 +148,22 @@ def test_sums_reject_nonpositive_length_and_order():
                  lambda: zero_sum(2, 0), lambda: unit_sum(3, 0, 0)):
         with pytest.raises(InvalidParams):
             call()
+
+
+@given(st.lists(st.integers(-30, 30), max_size=12), st.sampled_from([1, 2, 5, 6, 12]))
+@settings(max_examples=80, deadline=None)
+def test_witness_value_is_the_sum_of_its_roots(exps, h):
+    acc = integer(h, 0)
+    for e in exps:
+        acc = acc + CycInt.root(h, e)
+    assert SumWitness(h, tuple(exps), None).value() == acc
+
+
+@pytest.mark.parametrize("call", [lambda: zero_sum(100000, 1000), lambda: unit_sum(100001, 1000, 7)],
+                         ids=["zero-sum", "unit-sum"])
+def test_long_sums_are_checked_in_linear_time(call):
+    # adding the roots one h-tuple at a time, O(L h), takes seconds here; counting exponents is O(L + h)
+    t0 = time.perf_counter()
+    w = call()
+    assert time.perf_counter() - t0 < 1.0
+    assert len(w.exps) in (100000, 100001)
