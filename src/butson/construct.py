@@ -45,7 +45,7 @@ from .errors import (
     WrongSubgroupOrder,
     _check_fits,
 )
-from .groups import FiniteGroup, Unimodular, make_abelian, make_cyclic
+from .groups import FiniteGroup, Unimodular, make_abelian
 from .verify import verify_group_ring
 
 if TYPE_CHECKING:  # constructions 2 and 3 take a ring; construction 1 loads neither module
@@ -81,6 +81,8 @@ class BlockParams:
     case: str  # EvenVal | OddValGe3 | Val1
     l: int
     m: int
+    a: int  # block i is (a j^2 + b m i j) mod h over j in Z_{n/k}
+    b: int
 
     @classmethod
     def plan(cls, n: int, m: int = 1) -> "BlockParams":
@@ -91,31 +93,22 @@ class BlockParams:
         h = min_h(n)
         v = _nu2(n)
         k = block_count(n, h)
-        if v == 1:
-            case, l = "Val1", h // (4 * k)
+        if v == 1:  # n/k = h/2, so the cross term doubles
+            case, l, a, b = "Val1", h // (4 * k), k, 2
         elif v % 2 == 0:
-            case, l = "EvenVal", h // k
+            case, l, a, b = "EvenVal", h // k, k, 1
         else:
-            case, l = "OddValGe3", h // (2 * k)
+            case, l, a, b = "OddValGe3", h // (2 * k), k // 2, 1
         if l % 2 != 1:
             raise SelfCheckFailed(f"block plan for n={n} has even l={l}")
-        return cls(n, h, k, case, l, m)
+        return cls(n, h, k, case, l, m, a, b)
 
 
-def build_blocks(params: BlockParams) -> list[Unimodular]:
-    """k blocks over Z_{n/k} with pairwise-vanishing cross products."""
-    n, h, k, m = params.n, params.h, params.k, params.m
-    group = make_cyclic(n // k)
-    blocks = []
-    for i in range(k):
-        if params.case == "EvenVal":
-            exps = [(j * j * k + m * i * j) % h for j in range(h)]
-        elif params.case == "OddValGe3":
-            exps = [(j * j * k // 2 + m * i * j) % h for j in range(h)]
-        else:  # Val1: group order h/2, doubled off-diagonal term
-            exps = [(j * j * k + 2 * m * i * j) % h for j in range(h // 2)]
-        blocks.append(Unimodular(group, h, exps))
-    return blocks
+def build_blocks(params: BlockParams) -> np.ndarray:
+    """The k blocks over Z_{n/k} with pairwise-vanishing cross products, as the rows of a (k, n/k) int64 array."""
+    p = params
+    i, j = np.ogrid[: p.k, : p.n // p.k]
+    return (p.a * j * j + p.b * (p.m % p.h) * i * j) % p.h  # m reduced first: int64 holds every term
 
 
 def construct_group_bh(
@@ -132,7 +125,7 @@ def construct_group_bh(
     if len(reps) != k:
         raise SelfCheckFailed(f"{len(reps)} coset representatives for {k} blocks")
     deal = deal_blocks(t, k)
-    B = np.array([b.e for b in build_blocks(BlockParams.plan(n, m))], dtype=np.int64)  # scaled by h / h0 below
+    B = build_blocks(BlockParams.plan(n, m))  # scaled by h / h0 below
     # entry j of the block dealt to coset a is the coefficient of g^j r_a, g the generator
     e = np.zeros(n, dtype=np.int64)
     e[S[:, reps]] = B[deal].T * (h // h0)

@@ -4,12 +4,13 @@ Groups use a dense element encoding 0..order-1 with 0 the identity.  The
 Cayley table is one read-only (order, order) numpy array of np.intp, with
 table[a, b] = a*b, and the inverses one read-only (order,) array.
 
-`FiniteGroup.rows(r)` is table[r] for a slice or an index array r.  Only a
-group built from a table stores one.  Abelian groups in factor form and
-`semidirect` groups compute their rows from their parameters, and their
-`inverse` in closed form.  They build `table` only when asked for it, which
-construction 1, `materialize`, the invariance check and the exact checks
-never do.  `inv` returns a Python int.
+`FiniteGroup.rows(r)` is table[r] for a slice or an index array r.  A
+group either stores its table, if it was built from one, or computes its
+rows and its `inverse` in factor form: Z_f1 x ... x Z_fk, row-major, with
+an optional twist t that scales the right operand's first coordinate by t^j,
+which makes Z_m x|_t Z_k the factor form (m, k).  It builds `table` only
+when asked for it, which construction 1, `materialize`, the invariance
+check and the exact checks never do.  `inv` returns a Python int.
 
 `row_slices` cuts an array into row blocks of about `BLOCK_CELLS` cells, the
 unit in which matrices are filled, checked and written.
@@ -58,18 +59,21 @@ from .errors import (
 class FiniteGroup:
     order: int
     descriptor: str
-    abelian_factors: tuple[int, ...] | None = None
-    action: tuple[int, int, int] | None = None  # (m, k, t) of a semidirect group, else None
+    factors: tuple[int, ...] | None = None  # Z_f1 x ... x Z_fk, row-major, unless the group stores its table
+    twist: int | None = None  # t of Z_m x|_t Z_k, whose factors are (m, k); None when abelian
     stored: np.ndarray | None = None  # the table of a group built from one, else None
+
+    @property
+    def abelian_factors(self) -> tuple[int, ...] | None:
+        """The factors of an untwisted factor-form group; None for a twisted one, t = 1 included, or a stored one."""
+        return self.factors if self.twist is None else None
 
     def rows(self, r: slice | np.ndarray) -> np.ndarray:
         """table[r] for a slice or an index array r, computed unless the group stores its table."""
         if self.stored is not None:
             return self.stored[r]
         r = np.arange(self.order)[r]
-        if self.abelian_factors is not None:
-            return _sum_rows(self.abelian_factors, r)
-        return _semidirect_rows(*self.action, r)
+        return _sum_rows(self.factors, r, self._scale(r))
 
     @cached_property
     def table(self) -> np.ndarray:  # read-only (order, order) np.intp; table[a, b] = a*b
@@ -77,14 +81,20 @@ class FiniteGroup:
 
     @cached_property
     def inverse(self) -> np.ndarray:  # read-only (order,) np.intp
+        if self.stored is not None:
+            return _frozen(np.nonzero(self.stored == 0)[1])
         r = np.arange(self.order)
-        if self.abelian_factors is not None:
-            return _frozen(_negated(self.abelian_factors, r))
-        if self.action is not None:
-            m, k, t = self.action
-            i, j = np.divmod(r, k)  # (i, j)^(-1) = (-t^(k-j) i mod m, -j mod k)
-            return _frozen(-_powers(t, k, m)[-j % k] * i % m * k + -j % k)
-        return _frozen(np.nonzero(self.stored == 0)[1])
+        # (i, j)^(-1) = (-t^(-j) i, -j), and -r mod k is -j
+        return _frozen(_negated(self.factors, r, self._scale(-r)))
+
+    def _scale(self, r: np.ndarray) -> np.ndarray | int:
+        """t^j mod m for each r = (i, j): it scales the first coordinate of r's right operand; 1 when abelian."""
+        return 1 if self.twist is None else self._twist_powers[r % self.factors[1]]
+
+    @cached_property
+    def _twist_powers(self) -> np.ndarray:  # t^0, ..., t^(k-1) mod m
+        m, k = self.factors
+        return np.array([pow(self.twist, j, m) for j in range(k)], dtype=np.intp)
 
     def inv(self, a: int) -> int:
         return self.inverse.item(a)
@@ -93,41 +103,29 @@ class FiniteGroup:
         return range(self.order)
 
 
-def _sum_rows(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
-    """Rows r of the table of Z_f1 x ... x Z_fk, as one Kronecker step of its two halves."""
+def _sum_rows(factors: tuple[int, ...], r: np.ndarray, scale: np.ndarray | int = 1) -> np.ndarray:
+    """Rows r of the table of Z_f1 x ... x Z_fk, as one Kronecker step of its two halves.
+
+    The right operand's first coordinate is multiplied by scale, 1 or one
+    factor per row, which makes (i, j)(i', j') = (i + t^j i', j + j') of a
+    twisted group.
+    """
     if len(factors) == 1:
-        return (r[:, None] + np.arange(factors[0])) % factors[0]
+        return (r[:, None] + np.outer(scale, np.arange(factors[0]))) % factors[0]
     half = len(factors) // 2
     low = math.prod(factors[half:])
     # element a*low + x is the pair (a, x); halves keep numpy's innermost loop long
-    block = _sum_rows(factors[:half], r // low)[:, :, None] * low + _sum_rows(factors[half:], r % low)[:, None, :]
+    block = _sum_rows(factors[:half], r // low, scale)[:, :, None] * low + _sum_rows(factors[half:], r % low)[:, None, :]
     return block.reshape(len(r), math.prod(factors))
 
 
-def _negated(factors: tuple[int, ...], r: np.ndarray) -> np.ndarray:
-    """The inverses of elements r of Z_f1 x ... x Z_fk, split in halves like `_sum_rows`."""
+def _negated(factors: tuple[int, ...], r: np.ndarray, scale: np.ndarray | int = 1) -> np.ndarray:
+    """The inverses of elements r of Z_f1 x ... x Z_fk, first coordinates times scale, split like `_sum_rows`."""
     if len(factors) == 1:
-        return -r % factors[0]
+        return -scale * r % factors[0]
     half = len(factors) // 2
     low = math.prod(factors[half:])
-    return _negated(factors[:half], r // low) * low + _negated(factors[half:], r % low)
-
-
-def _powers(t: int, k: int, m: int) -> np.ndarray:
-    """t^0, ..., t^(k-1) mod m."""
-    return np.array([pow(t, j, m) for j in range(k)], dtype=np.intp)
-
-
-def _semidirect_rows(m: int, k: int, t: int, r: np.ndarray) -> np.ndarray:
-    """Rows r of the table of Z_m x| Z_k, element i*k + j the pair (i, j).
-
-    (i, j)(i', j') = (i + t^j i' mod m, j + j' mod k): each row is an (m,)
-    part times k plus a (k,) part, added by broadcasting as in `_sum_rows`.
-    """
-    i, j = np.divmod(r, k)
-    high = (i[:, None] + _powers(t, k, m)[j][:, None] * np.arange(m)) % m * k
-    low = (j[:, None] + np.arange(k)) % k
-    return (high[:, :, None] + low[:, None, :]).reshape(len(r), m * k)
+    return _negated(factors[:half], r // low, scale) * low + _negated(factors[half:], r % low)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -202,7 +200,7 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
     _check_fits(m * k, f"the Cayley table of semidirect {m},{k},{t} (order {m * k})")
-    return FiniteGroup(m * k, f"semidirect {m},{k},{t}", action=(m, k, t))
+    return FiniteGroup(m * k, f"semidirect {m},{k},{t}", (m, k), t)
 
 
 def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:

@@ -130,16 +130,8 @@ def unit_sum(L: int, h: int, target: int) -> SumWitness:
     except NoDecomposition:
         pass
     if h % 6 == 0:
-        # zeta_6 + zeta_6^5 = 1 covers L = 2; longer sums append zero cycles.
-        exps = [(target + h // 6) % h, (target + 5 * h // 6) % h]
-        rest = L - 2
-        if rest > 0:
-            try:
-                exps.extend(zero_sum(rest, h).exps)
-            except NoDecomposition:
-                exps = None
-        if exps is not None:
-            return _checked(SumWitness(h, tuple(exps), target))
+        # zeta_6 + zeta_6^5 = 1; only L = 2 gets here, as every L - 1 >= 2 is a sum of 2s and 3s
+        return _checked(SumWitness(h, ((target + h // 6) % h, (target + 5 * h // 6) % h), target))
     if L <= _SEARCH_MAX_LEN and h**L <= _SEARCH_CAP:
         for combo in combinations_with_replacement(range(h), L):
             w = SumWitness(h, combo, target)

@@ -4,10 +4,10 @@ Slow, direct restatements: one product of a group read from its whole
 Cayley table, arithmetic in Z[zeta_h] and in the group ring over
 `GroupRingElt` coefficients, characters of abelian groups, D D^(-1) = |G| by
 `gr_mul` and by characters, the histograms of x y^(-1) for unimodular x and
-y, construction 1's block identities, one shift's autocorrelation, each
-chain-ring family's closed forms of the valuation and the unit part,
-construction 2's partition as lists of element indices, and construction 3's
-line family.  A library method they need is a function here
+y, construction 1's blocks case by case and their identities, one shift's
+autocorrelation, each chain-ring family's closed forms of the valuation and
+the unit part, construction 2's partition as lists of element indices, and
+construction 3's line family.  A library method they need is a function here
 taking the object first: `x * y` of two `CycInt`s reads `cyc_mul(x, y)`.
 """
 
@@ -268,14 +268,34 @@ def unimodular_products(G: FiniteGroup, h: int, x: np.ndarray, Y: np.ndarray) ->
     return hist
 
 
-def block_defect(blocks: list[Unimodular], n: int) -> str | None:
+def blocks_by_case(params) -> np.ndarray:
+    """Construction 1's blocks for a `construct.BlockParams`, one 2-adic case at a time, as a (k, n/k) array.
+
+    The reference for `construct.build_blocks`, which writes the three cases
+    as one quadratic.
+    """
+    n, h, k, m = params.n, params.h, params.k, params.m
+    blocks = []
+    for i in range(k):
+        if params.case == "EvenVal":
+            exps = [(j * j * k + m * i * j) % h for j in range(h)]
+        elif params.case == "OddValGe3":
+            exps = [(j * j * k // 2 + m * i * j) % h for j in range(h)]
+        else:  # Val1: group order h/2, doubled off-diagonal term
+            exps = [(j * j * k + 2 * m * i * j) % h for j in range(h // 2)]
+        blocks.append(exps)
+    return np.array(blocks, dtype=np.int64)
+
+
+def block_defect(B: np.ndarray, h: int) -> str | None:
     """None if D_i D_j^(-1) = 0 for i != j and sum_i D_i D_i^(-1) = n exactly, else the first that fails.
 
-    The k^2 products are histogrammed one first block D_i at a time.
+    Row i of the (k, n/k) exponent array B, entries in 0..h-1, is the block
+    D_i over Z_(n/k), and n = B.size.  The k^2 products are histogrammed one
+    first block D_i at a time.
     """
-    h, group = blocks[0].h, blocks[0].group
-    B = np.array([b.e for b in blocks])
     k, c = B.shape
+    group = groups.make_cyclic(c)
     diag = np.zeros((c, h), dtype=np.int64)
     for i in range(k):
         hist = unimodular_products(group, h, B[i], B)
@@ -285,7 +305,7 @@ def block_defect(blocks: list[Unimodular], n: int) -> str | None:
         bad = np.flatnonzero(~ok)
         if len(bad):
             return f"cross product D_{i} D_{int(bad[0])}^(-1) is nonzero"
-    diag[0, 0] -= n
+    diag[0, 0] -= B.size
     return None if zero_rows(diag).all() else "diagonal block sum does not equal n"
 
 

@@ -89,7 +89,7 @@ def test_criterion_04_block_sweep():
         for n in range(1, 65):
             params = BlockParams.plan(n)
             # the pairwise and diagonal identities, exactly
-            assert block_defect(build_blocks(params), n) is None, n
+            assert block_defect(build_blocks(params), params.h) is None, n
             cases.add(params.case)
         return cases
 

@@ -362,11 +362,14 @@ def test_export_array_exit_codes(tmp_path, capsys):
     assert run("export-array", str(out), "--out", str(arr)) == 1
     assert "not group-invariant" in capsys.readouterr().err
     assert not arr.exists()
-    d4 = tmp_path / "d4.bh"
-    run("construct", "group", "--order", "8", "--h", "4",
-        "--group", "semidirect:4,2,3", "--out", str(d4))
-    assert run("export-array", str(d4), "--out", str(arr)) == 2
-    assert "NotAbelianFactored" in capsys.readouterr().err
+    # semidirect:4,2,1 is Z_4 x Z_2, but only a group written in factor form exports
+    for spec in ("4,2,3", "4,2,1"):
+        d4 = tmp_path / "d4.bh"
+        assert run("construct", "group", "--order", "8", "--h", "4",
+                   "--group", f"semidirect:{spec}", "--out", str(d4)) == 0
+        assert run("export-array", str(d4), "--out", str(arr)) == 2
+        assert "NotAbelianFactored" in capsys.readouterr().err
+        assert not arr.exists()
 
 
 def test_ring_info_lists_rings_whose_square_has_no_table(capsys):

@@ -44,7 +44,7 @@ from butson.errors import (
     UnsupportedRing,
     WrongSubgroupOrder,
 )
-from butson.groups import Unimodular, make_abelian, make_from_table, make_semidirect
+from butson.groups import Unimodular, make_abelian, make_cyclic, make_from_table, make_semidirect
 from butson.rings import chain_ring
 from butson.cli import main
 from butson.sums import zero_sum
@@ -52,8 +52,8 @@ from butson.verify import materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
 from oracles import (
-    abelian_coords, apply_char, block_defect, characters, equals_integer, gr_conj_inv, gr_mul, line_family, norm_sq,
-    partition_parts,
+    abelian_coords, apply_char, block_defect, blocks_by_case, characters, equals_integer, gr_conj_inv, gr_mul,
+    line_family, norm_sq, partition_parts,
 )
 
 
@@ -75,26 +75,35 @@ def test_plan_rejects_bad_multiplier():
 
 
 def test_blocks_z4_frozen():
-    blocks = build_blocks(BlockParams.plan(4))
-    assert [b.e.tolist() for b in blocks] == [[0, 0], [0, 1]]
+    assert build_blocks(BlockParams.plan(4)).tolist() == [[0, 0], [0, 1]]
 
 
-def char_energy_oracle(blocks, n):
+def test_blocks_equal_the_case_by_case_reference():
+    plans = [BlockParams.plan(n, m) for n in range(1, 301) for m in (1, 5, 7) if math.gcd(m, n) == 1]
+    assert {p.case for p in plans} == {"EvenVal", "OddValGe3", "Val1"}
+    for p in plans:
+        B = build_blocks(p)
+        assert B.dtype == np.int64 and np.array_equal(B, blocks_by_case(p)), (p.n, p.m)
+
+
+def char_energy_oracle(B, h):
     """Independent restatement of the block identity through characters:
-    the squared character moduli of the blocks sum to n, for every character
-    of the underlying cyclic group."""
-    T = characters(blocks[0].group)
-    for t in range(blocks[0].group.order):
+    the squared character moduli of the blocks, the rows of B, sum to
+    n = B.size, for every character of the underlying cyclic group."""
+    group = make_cyclic(B.shape[1])
+    T = characters(group)
+    for t in range(group.order):
         acc = None
-        for b in blocks:
-            v = norm_sq(apply_char(T, t, b))
+        for b in B:
+            v = norm_sq(apply_char(T, t, Unimodular(group, h, b)))
             acc = v if acc is None else acc + v
-        assert equals_integer(acc, n)
+        assert equals_integer(acc, B.size)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 9, 12, 16, 18, 25])
 def test_blocks_character_oracle(n):
-    char_energy_oracle(build_blocks(BlockParams.plan(n)), n)
+    params = BlockParams.plan(n)
+    char_energy_oracle(build_blocks(params), params.h)
 
 
 def test_group_bh_on_cyclic_four():
@@ -472,10 +481,9 @@ def test_self_check_survives_python_O():
 _SHIFTED_BLOCK = """
 build = construct.build_blocks
 def build_blocks(params):
-    first, *rest = build(params)
-    e = first.e.copy()
-    e[1] += 1
-    return [construct.Unimodular(first.group, first.h, e), *rest]
+    B = build(params)
+    B[0, 1] = (B[0, 1] + 1) % params.h
+    return B
 construct.build_blocks = build_blocks
 """
 
@@ -539,18 +547,17 @@ def test_ring_construction_checks_survive_python_O(patch, argv, message):
     assert message in proc.stderr  # the check itself, not the later check of the whole element
 
 
-def _corrupted(blocks, i, g):
-    """The blocks with one exponent of block i shifted by 1."""
-    b = blocks[i]
-    exps = b.e.copy()
-    exps[g] += 1
-    out = list(blocks)
-    out[i] = Unimodular(b.group, b.h, exps)
+def _corrupted(B, i, g, h):
+    """The blocks B with exponent g of block i shifted by 1."""
+    out = B.copy()
+    out[i, g] = (out[i, g] + 1) % h
     return out
 
 
-def _first_bad_pair(blocks):
+def _first_bad_pair(B, h):
     """First (i, j), i != j, in row-major order with D_i D_j^(-1) != 0, by gr_mul."""
+    group = make_cyclic(B.shape[1])
+    blocks = [Unimodular(group, h, b) for b in B]
     for i, j in itertools.permutations(range(len(blocks)), 2):
         prod = gr_mul(blocks[i], gr_conj_inv(blocks[j]))
         if not all(is_zero(c) for c in prod.coeffs):
@@ -560,21 +567,23 @@ def _first_bad_pair(blocks):
 
 @pytest.mark.parametrize("n", [9, 16, 36, 48])
 def test_corrupted_block_fails_the_self_check(n):
-    blocks = build_blocks(BlockParams.plan(n))
-    assert block_defect(blocks, n) is None
-    k = len(blocks)
+    params = BlockParams.plan(n)
+    B, h = build_blocks(params), params.h
+    assert block_defect(B, h) is None
+    k = len(B)
     assert k >= 3
     for i, g in ((2, 1), (k - 1, 0), (0, 2)):
-        bad = _corrupted(blocks, i, g)
-        pair = _first_bad_pair(bad)
+        bad = _corrupted(B, i, g, h)
+        pair = _first_bad_pair(bad, h)
         assert pair is not None
-        assert block_defect(bad, n) == f"cross product D_{pair[0]} D_{pair[1]}^(-1) is nonzero"
+        assert block_defect(bad, h) == f"cross product D_{pair[0]} D_{pair[1]}^(-1) is nonzero"
 
 
 def test_corrupted_single_block_fails_the_diagonal_check():
-    blocks = build_blocks(BlockParams.plan(2))
-    assert len(blocks) == 1
-    assert block_defect(_corrupted(blocks, 0, 1), 2) == "diagonal block sum does not equal n"
+    params = BlockParams.plan(2)
+    B = build_blocks(params)
+    assert len(B) == 1
+    assert block_defect(_corrupted(B, 0, 1, params.h), params.h) == "diagonal block sum does not equal n"
 
 
 def test_collapse_to_roots_reads_unreduced_roots():

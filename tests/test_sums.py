@@ -108,6 +108,17 @@ def test_unit_sum_pair_needs_sixth_roots():
     assert is_zero(w.value() - CycInt.root(6, 0))
 
 
+def test_sixth_root_pair_answers_length_two_and_zero_sums_the_rest():
+    # 6006^2 exceeds the search cap, so only the sixth-root pair can answer L = 2
+    for t in (0, 7, 6005):
+        w = unit_sum(2, 6006, t)
+        assert w.exps == ((t + 1001) % 6006, (t + 5005) % 6006) and w.check()
+    # with 6 | h every L - 1 >= 2 is a sum of 2s and 3s: the target and a zero sum
+    for L in range(3, 7):
+        for t in range(6):
+            assert unit_sum(L, 6, t).exps == (t,) + zero_sum(L - 1, 6).exps
+
+
 @given(st.integers(1, 12), st.sampled_from([2, 3, 4, 6, 12]), st.integers(0, 11))
 @settings(max_examples=80, deadline=None)
 def test_unit_sum_witnesses_always_check(L, h, target):
