@@ -1,14 +1,15 @@
 """Command-line frontend: construct, verify, and export in batch runs.
 
-Each command is one short process, so start-up and exit are most of its
-cost at small orders.  A handler imports the modules it runs when it runs,
-`json` only where it prints JSON and `pathlib` only where it names a path:
-`ring-info` loads `rings` and `poly` but not `cyclotomic` or `groups`,
-`verify` loads no construction, ring or array code, and `construct group`
-no ring or sum code.  numpy is imported only by the modules and kernels that
-build arrays, so `ring-info` and `solve-sum` never load it.  Where Python
-writes no bytecode cache, every module a command imports is also compiled
-again on each call.
+Each command is one short process, so start-up and exit are most of its cost
+at small orders.  A handler imports the modules it runs when it runs, and
+`pathlib` only where it names a path: `ring-info` loads `rings` and `poly`
+but not `cyclotomic` or `groups`, `verify` loads no construction, ring or
+array code, and `construct group` no ring or sum code.  Every report goes
+through `_print`, one JSON line under `--format json` and text otherwise,
+which loads `json` only for the former.  numpy is imported only by the
+modules and kernels that build arrays, so `ring-info` and `solve-sum` never
+load it.  Where Python writes no bytecode cache, every module a command
+imports is also compiled again on each call.
 
 When `main` reads the process's own command line, it ends the process
 itself.  It runs the atexit handlers, flushes stdout and stderr, and leaves
@@ -119,6 +120,16 @@ def _write_out(path: str, text: str) -> None:
         raise ButsonError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _print(args, payload: dict, text: str) -> None:
+    """A command's report: `payload` as one JSON line under `--format json`, else `text`."""
+    if args.format == "json":
+        import json
+
+        print(json.dumps(payload))
+    else:
+        print(text)
+
+
 def _emit_matrix(args, D) -> int:
     from . import fileio
     from .verify import materialize
@@ -173,22 +184,9 @@ def _cmd_verify(args) -> int:
     from . import fileio
     from .verify import verify_bh
 
-    M = fileio.read_matrix(args.file)
-    report = verify_bh(M, full=args.full)
-    payload = {
-        "is_bh": report.is_bh,
-        "is_invariant": report.is_invariant,
-        "first_failure": report.first_failure,
-        "timing_ms": report.timing_ms,
-        "pairs_checked": report.pairs_checked,
-    }
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload))
-    else:
-        status = "ok" if report.ok else f"FAILED at {report.first_failure}"
-        print(f"bh={report.is_bh} invariant={report.is_invariant} {status}")
+    report = verify_bh(fileio.read_matrix(args.file), full=args.full)
+    status = "ok" if report.ok else f"FAILED at {report.first_failure}"
+    _print(args, vars(report), f"bh={report.is_bh} invariant={report.is_invariant} {status}")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
@@ -213,12 +211,7 @@ def _cmd_verify_array(args) -> int:
 
     D = fileio.read_array(args.file)
     ok = verify_group_ring(D)  # the array is perfect iff D D^(-1) = |G|
-    if args.format == "json":
-        import json
-
-        print(json.dumps({"is_perfect": ok, "dims": list(D.group.abelian_factors), "h": D.h}))
-    else:
-        print(f"perfect={ok}")
+    _print(args, {"is_perfect": ok, "dims": list(D.group.abelian_factors), "h": D.h}, f"perfect={ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -229,12 +222,7 @@ def _cmd_solve_sum(args) -> int:
         w = zero_sum(args.length, args.order)
     else:
         w = unit_sum(args.length, args.order, args.target)
-    if args.format == "json":
-        import json
-
-        print(json.dumps({"h": w.h, "exponents": list(w.exps), "target": w.target}))
-    else:
-        print(" ".join(str(e) for e in w.exps))
+    _print(args, {"h": w.h, "exponents": list(w.exps), "target": w.target}, " ".join(str(e) for e in w.exps))
     return EXIT_OK
 
 
@@ -249,16 +237,11 @@ def _cmd_ring_info(args) -> int:
         "ideal_sizes": [R.p ** (R.d * (R.n - t)) for t in range(R.n + 1)],  # |I^t|
         "additive_type": list(R.additive_factors),
     }
-    if args.format == "json":
-        import json
-
-        print(json.dumps(info))
-    else:
-        print(f"ring:          {info['ring']}")
-        print(f"order:         {info['order']}")
-        print(f"units:         {info['units']}")
-        print(f"ideal sizes:   {info['ideal_sizes']}")
-        print(f"additive type: Z_" + " x Z_".join(str(f) for f in info["additive_type"]))
+    _print(args, info, f"ring:          {info['ring']}\n"
+                       f"order:         {info['order']}\n"
+                       f"units:         {info['units']}\n"
+                       f"ideal sizes:   {info['ideal_sizes']}\n"
+                       f"additive type: Z_" + " x Z_".join(str(f) for f in info["additive_type"]))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ int64 only when max_row sum|c_j| * max|Rm| < 2^62, which bounds every partial
 sum of the product, and otherwise in Python ints, so it is exact either way.
 numpy is imported by the three functions that build or reduce arrays, so
 `CycInt` and `is_zero` load without it.  `is_zero` and `cyclotomic_poly`
-divide with the helpers in `poly`, which `rings` shares.
+divide with the helpers in `poly`, which also factors h for phi(h).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import OrderMismatch, SelfCheckFailed
-from .poly import _poly_divmod_monic, _poly_mul
+from .poly import _poly_divmod_monic, _poly_mul, prime_divisors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,16 +80,9 @@ class CycInt:
 
 
 def _totient(h: int) -> int:
-    result, m, p = h, h, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in prime_divisors(h):
+        h -= h // p
+    return h
 
 
 @lru_cache(maxsize=None)

@@ -22,15 +22,16 @@ Table file::
     <N lines of N space-separated elements, 0 the identity>
 
 Table paths are resolved relative to the matrix file's directory.  A header
-has exactly the keys shown, none repeated, and an h whose h x h reduction
-matrix would not fit in physical memory is refused (`TooLarge`); all of it,
-a matrix's group and order too, is checked before the body is read.  A body
-is what the writers emit, rows of unsigned decimals (exponents below h) split
-by spaces or tabs, one row per LF or CRLF line, blank lines skipped; anything
-else is malformed.  Its lines stream from the open file through one byte
-guard into one `np.loadtxt` call, in `groups.exponent_dtype(h)` (`np.intp`
-for a table).  Both writers gather the strings of 0..h-1 over an exponent
-array and join its lines one row block (`groups.row_slices`) at a time.
+has exactly the keys shown, each as one key=value word, none repeated or
+missing, and an h whose h x h reduction matrix would not fit in physical
+memory is refused (`TooLarge`); all of it, a matrix's group and order too,
+is checked before the body is read.  A body is what the writers emit, rows
+of unsigned decimals (exponents below h) split by spaces or tabs, one row
+per LF or CRLF line, blank lines skipped; anything else is malformed.  Its
+lines stream from the open file through one byte guard into one `np.loadtxt`
+call, in `groups.exponent_dtype(h)` (`np.intp` for a table).  Both writers
+gather the strings of 0..h-1 over an exponent array and join its lines one
+row block (`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _reading(path: Path):
             yield f
     except OSError as exc:
         raise ButsonError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ButsonError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None
 
 
@@ -70,11 +71,15 @@ def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str) -
     words = _next_line(lines).decode().split()
     if words[:1] != [tag]:
         raise ButsonError(f"{path}: not {what} file")
+    if bad := [kv for kv in words[1:] if kv.count("=") != 1]:
+        raise ButsonError(f"{path}: bad header field {bad[0]!r}")
     pairs = [kv.split("=") for kv in words[1:]]
     if len(fields := dict(pairs)) != len(pairs):
         raise ButsonError(f"{path}: repeated header key")
     if unknown := sorted(fields.keys() - {"h", key}):
         raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
+    if missing := sorted({"h", key} - fields.keys()):
+        raise ButsonError(f"{path}: missing header key {missing[0]!r}")
     h, value = int(fields["h"]), fields[key]
     if h < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")

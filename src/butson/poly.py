@@ -1,13 +1,30 @@
-"""Polynomials with integer coefficients, as lists of ints, lowest degree first.
+"""Integer and polynomial helpers: the prime divisors of an integer, and
+polynomials with integer coefficients, as lists of ints, lowest degree first.
 
-`cyclotomic` divides by cyclotomic polynomials with these helpers and `rings`
-by candidate factors of its moduli.  They live apart from `cyclotomic` so that
-`rings`, and with it `ring-info`, loads neither `cyclotomic` nor `dataclasses`.
+`prime_divisors`, the one factorizer, serves `sums`, `cyclotomic` (phi(h))
+and `rings` (is p prime).  `cyclotomic` divides by cyclotomic polynomials
+with the polynomial helpers and `rings` by candidate factors of its moduli.
+All live apart from `cyclotomic` so that `rings`, and with it `ring-info`,
+loads neither `cyclotomic` nor `dataclasses`.
 """
 
 from __future__ import annotations
 
 from .errors import SelfCheckFailed
+
+
+def prime_divisors(h: int) -> tuple[int, ...]:
+    """The distinct primes dividing h, ascending, by trial division; () for h = 1."""
+    out, m, p = [], h, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return tuple(out)
 
 
 def _poly_trim(p: list[int]) -> list[int]:

@@ -8,9 +8,10 @@ Two families are supported:
 
 An element of R is its index 0..|R|-1, 0 the zero, and all ring arithmetic
 reads two read-only (|R|, |R|) index tables, `add_table` and `mul_table`.
-Both are built from `elements`, the flat coordinate tuples mod q in
-row-major order over `additive_factors`, so an index is also the element
-index of make_abelian(additive_factors).  Galois elements are the d
+An index numbers the flat coordinate tuples mod q in row-major order over
+`additive_factors`, so `add_table` is the factor-form table of
+make_abelian(additive_factors), and `elements` lists the tuples only for
+`mul_table` and R_1 of the coset chain.  Galois elements are the d
 coefficients of a polynomial in x, with q = p^n; truncated elements are the
 n coefficients of a polynomial in u, each a block of d coordinates of an
 element of F_{p^d}, the u^0 block first, with q = p.  `elements` and the
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .poly import _poly_divmod_monic
+from .poly import _poly_divmod_monic, prime_divisors
 from .errors import SelfCheckFailed, UnsupportedRing, _check_fits, _physical_memory
 
 
@@ -73,7 +74,7 @@ class ChainRing:
             raise UnsupportedRing(
                 f"{family} ring p={p}, d={d}, n={n} has {p}^{d * n} elements: too many to list in physical memory"
             )
-        if not _is_prime(p):
+        if prime_divisors(p) != (p,):
             raise UnsupportedRing(f"bad parameters p={p}, d={d}, n={n}")
         self.family = family
         self.p, self.d, self.n = p, d, n
@@ -105,17 +106,13 @@ class ChainRing:
 
     @cached_property
     def add_table(self):
-        """Read-only (|R|, |R|) array of the index of elements[i] + elements[j]."""
+        """Read-only (|R|, |R|) array of the index of elements[i] + elements[j]: the rows of Z_q^c in factor form."""
         import numpy as np
 
+        from .groups import _frozen, _sum_rows
+
         _check_fits(self.size, f"the sum table of {self.describe()}")
-        X, q = np.array(self.elements, dtype=np.int64), self.q
-        table = np.zeros((self.size, self.size), dtype=np.intp)
-        for k in range(X.shape[1]):  # row-major index: one coordinate of every sum at a time
-            table *= q
-            table += (X[:, k, None] + X[:, k]) % q
-        table.flags.writeable = False
-        return table
+        return _frozen(_sum_rows(self.additive_factors, np.arange(self.size)))
 
     @cached_property
     def mul_table(self):
@@ -225,17 +222,6 @@ def _distinct(a):
     import numpy as np
 
     return np.flatnonzero(np.bincount(a.ravel()))
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def chain_ring(family: str, p: int, d: int, n: int) -> ChainRing:

@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement
 
 from .cyclotomic import CycInt, is_zero
 from .errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed, _check_fits
+from .poly import prime_divisors
 
 _SEARCH_CAP = 10**7
 _SEARCH_MAX_LEN = 6
@@ -59,19 +60,6 @@ def _checked(w: SumWitness) -> SumWitness:
     if not w.check():
         raise SelfCheckFailed(f"roots {w.exps} of order {w.h} miss their target {w.target}")
     return w
-
-
-def prime_divisors(h: int) -> tuple[int, ...]:
-    out, m, p = [], h, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
 
 
 def semigroup_member(L: int, primes) -> SemigroupCert | None:

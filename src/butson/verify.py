@@ -20,9 +20,10 @@ batches of `FiniteGroup.rows` up to the first defect.  It serves
 `verify_group_ring`, which is also the check of a perfect array (an array
 is a `Unimodular`, see `arrays`), and `verify_bh` on a matrix found
 G-invariant by one gather: there <row 0, row g> is the conjugate of the
-coefficient of g in D D^(-1), with D the matrix's column 0.
-Non-invariant input, or `full`, gets every row pair, the oracle the CLI
-offers; the other oracles are in `tests/oracles.py`.
+coefficient of g in D D^(-1), with D the matrix's column 0, so the first
+defect g is the first failing pair (0, g) and the count of pairs checked.
+Any other matrix, or any with `full`, goes to `_first_bad_pair`: every row
+pair, the oracle the CLI offers; the other oracles are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -84,17 +85,23 @@ def _quotients(e: np.ndarray, G: FiniteGroup, block: slice) -> np.ndarray:
     return e[G.rows(block)][:, G.inverse]
 
 
-def _pair_blocks(E: np.ndarray, h: int):
-    """Zero flags of <row a, row b> for all b > a.
+def _first_bad_pair(E: np.ndarray, h: int, stop: bool) -> tuple[tuple | None, int]:
+    """("rows", a, b) for the first pair a < b with <row a, row b> != 0, or None, and the pairs checked.
 
-    Yields (a, b0, ok) with ok[i] for the pair (a, b0 + i), in the order of
-    itertools.combinations, in chunks of at most about CHUNK_CELLS cells.
+    Pairs go in itertools.combinations order, about CHUNK_CELLS cells at a time, up to the failure if `stop`.
     """
     n = len(E)
     step = max(1, CHUNK_CELLS // n)
+    failure, checked = None, 0
     for a in range(n):
         for b0 in range(a + 1, n, step):
-            yield a, b0, zero_rows(difference_histograms(E[a][None], E[b0 : b0 + step], h)[0])
+            bad = np.flatnonzero(~zero_rows(difference_histograms(E[a][None], E[b0 : b0 + step], h)[0]))
+            if len(bad) and failure is None:
+                failure = ("rows", a, b0 + int(bad[0]))
+                if stop:
+                    return failure, checked + int(bad[0]) + 1
+            checked += min(step, n - b0)
+    return failure, checked
 
 
 def correlation_defects(G: FiniteGroup, h: int, e: np.ndarray) -> np.ndarray:
@@ -134,38 +141,18 @@ def verify_bh(M: BhMatrix, full: bool = False) -> VerifyReport:
     """
     start = time.perf_counter()
     n, h = M.group.order, M.h
-    first_failure = None
-
     witness = invariance_witness(M)
-    is_invariant = witness is None
-    if not is_invariant:
-        first_failure = ("invariance",) + witness
-
-    if is_invariant and not full:
+    if witness is None and not full:
         # <row 0, row g> is the conjugate of the coefficient of g in D D^(-1),
         # where D is column 0 (copied: gathering from it is then 3x faster)
-        ok = np.ones(n - 1, dtype=bool)
-        ok[correlation_defects(M.group, h, M.E[:, 0].copy()) - 1] = False
-        blocks = [(0, 1, ok)]
+        defects = correlation_defects(M.group, h, M.E[:, 0].copy())
+        bad_pair = ("rows", 0, int(defects[0])) if len(defects) else None
+        checked = int(defects[0]) if len(defects) else n - 1
     else:
-        blocks = _pair_blocks(M.E, h)
-    is_bh = True
-    checked = 0
-    for a, b0, ok in blocks:
-        bad = np.flatnonzero(~ok)
-        if len(bad) == 0:
-            checked += len(ok)
-            continue
-        is_bh = False
-        if first_failure is None:
-            first_failure = ("rows", a, b0 + int(bad[0]))
-        if not full:
-            checked += int(bad[0]) + 1
-            break
-        checked += len(ok)
-
+        bad_pair, checked = _first_bad_pair(M.E, h, stop=not full)
+    first_failure = bad_pair if witness is None else ("invariance",) + witness
     ms = (time.perf_counter() - start) * 1000.0
-    return VerifyReport(is_bh, is_invariant, first_failure, ms, checked)
+    return VerifyReport(bad_pair is None, witness is None, first_failure, ms, checked)
 
 
 def verify_group_ring(D: Unimodular | GroupRingElt) -> bool:

@@ -87,16 +87,29 @@ def test_readers_name_the_file_on_bad_input(tmp_path):
             reader(path)
 
 
-@pytest.mark.parametrize("text,reader", [
-    ("bh h=2 h=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
-    ("bh h=4 order=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix),
-    ("array h=2 h=3 dims=2\n0 1\n", fileio.read_array),
-    ("array h=2 dims=2 dims=2\n0 1\n", fileio.read_array),
-])
-def test_repeated_header_keys_are_rejected(tmp_path, text, reader):
+_BAD_HEADERS = [  # text, reader, match
+    ("bh h=2 h=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "repeated header key$"),
+    ("bh h=4 order=2 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "repeated header key$"),
+    ("array h=2 h=3 dims=2\n0 1\n", fileio.read_array, "repeated header key$"),
+    ("array h=2 dims=2 dims=2\n0 1\n", fileio.read_array, "repeated header key$"),
+    # a word that is not key=value, and a key left out, are named, not leaked as Python errors
+    ("bh h=2 order=2 junk\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "bad header field 'junk'$"),
+    ("bh h=2 order=2=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "bad header field 'order=2=2'$"),
+    ("bh h=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "missing header key 'order'$"),
+    ("bh order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "missing header key 'h'$"),
+    ("array h=2 dims=2 junk\n0 1\n", fileio.read_array, "bad header field 'junk'$"),
+    ("array h=2\n0 1\n", fileio.read_array, "missing header key 'dims'$"),
+    ("array dims=2\n0 1\n", fileio.read_array, "missing header key 'h'$"),
+]
+
+
+# ids name the input (text-reader), not the expected message
+@pytest.mark.parametrize("text,reader,match",
+                         [pytest.param(*case, id=f"{case[0]}-{case[1].__name__}") for case in _BAD_HEADERS])
+def test_repeated_header_keys_are_rejected(tmp_path, text, reader, match):
     path = tmp_path / "dup.txt"
     path.write_text(text)
-    with pytest.raises(ButsonError, match="repeated header key"):
+    with pytest.raises(ButsonError, match=match):
         reader(path)
 
 

@@ -101,6 +101,10 @@ _COMMANDS = {
         ["construct", "local-partition", "--family", "galois", "--p", "2", "--d", "1", "--n", "2",
          "--t", "1", "--h", "2", "--out", "{tmp}/p.bh"],
         _MATRIX | {"construct", "rings", "sums"}, False, True),
+    "construct-local-lines": (
+        ["construct", "local-lines", "--family", "galois", "--p", "2", "--d", "1", "--n", "2",
+         "--h", "6", "--out", "{tmp}/l.bh"],
+        _MATRIX | {"construct", "rings", "sums"}, False, True),
     "export-array": (["export-array", "{bh}", "--out", "{tmp}/x.arr"], _MATRIX | {"arrays"}, False, True),
     "verify-array": (["verify-array", "{arr}"], _MATRIX | {"arrays"}, False, True),
 }

@@ -272,6 +272,14 @@ def test_invalid_parameters_rejected():
         chain_ring("galois", 4, 1, 2)  # 4 is not prime
     with pytest.raises(ButsonError):
         chain_ring("twисted", 2, 1, 2)
+    refused = set()
+    for p in range(2, 201):
+        try:
+            chain_ring("galois", p, 1, 1)
+        except UnsupportedRing as exc:
+            assert str(exc) == f"bad parameters p={p}, d=1, n=1"
+            refused.add(p)
+    assert refused == {p for p in range(2, 201) if any(p % d == 0 for d in range(2, p))}
 
 
 def test_rings_too_large_to_list_are_refused_before_enumeration(monkeypatch):

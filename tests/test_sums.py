@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson.cyclotomic import CycInt, is_zero
+from butson.cyclotomic import CycInt, _totient, is_zero
 from butson.errors import InvalidParams, NoDecomposition, NoSolution, SelfCheckFailed
 from butson.sums import SumWitness, prime_divisors, semigroup_member, unit_sum, zero_sum
 
@@ -30,6 +31,17 @@ def test_prime_divisors():
     assert prime_divisors(2) == (2,)
     assert prime_divisors(12) == (2, 3)
     assert prime_divisors(30) == (2, 3, 5)
+    primes = {p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))}
+    for h in range(1, 2001):
+        ps = prime_divisors(h)
+        assert list(ps) == sorted(set(ps)) and set(ps) <= primes, h
+        m = h
+        for p in ps:
+            while m % p == 0:
+                m //= p
+        assert m == 1, h  # the powers of the primes rebuild h
+        if h <= 300:
+            assert _totient(h) == sum(math.gcd(k, h) == 1 for k in range(1, h + 1)), h
 
 
 @pytest.mark.parametrize("primes", [(2,), (3,), (2, 3), (2, 5), (3, 5)])
