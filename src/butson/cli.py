@@ -159,22 +159,25 @@ def _cmd_construct_group(args) -> int:
 
 
 def _cmd_local_partition(args) -> int:
-    from . import construct
+    from . import construct, groups
     from .rings import chain_ring
     from .sums import zero_sum
 
     R = chain_ring(args.family, args.p, args.d, args.n)
     construct.check_t(R, args.t)  # before the sum of p^t roots is built
     etas = list(zero_sum(args.p**args.t, args.h).exps)
+    groups.check_table_fits(construct.ring_square_group(R))  # the matrix is n x n; before R's tables
     D = construct.construct_partition_bh(R, args.t, etas, args.h, seed=args.seed)
     return _emit_matrix(args, D)
 
 
 def _cmd_local_lines(args) -> int:
-    from . import construct
+    from . import construct, groups
     from .rings import chain_ring
 
     R = chain_ring(args.family, args.p, args.d, args.n)
+    if R.n >= 2:  # a shorter chain is refused first, by solve_coefficient_scheme
+        groups.check_table_fits(construct.ring_square_group(R))
     scheme = construct.solve_coefficient_scheme(R, args.h)
     D = construct.construct_line_bh(R, scheme)
     return _emit_matrix(args, D)

@@ -13,6 +13,7 @@ the group, and verifies it exactly before returning it.
 Constructions 2 and 3 take each element of R as its index, and their ring
 arithmetic is gathers from `R.add_table` and `R.mul_table` and reads of
 `R.phi` and `R.coset_chain()`.  In R x R, (x, y) is the element x |R| + y.
+They refuse no size of R x R: only the CLI's n x n matrix needs a bound.
 Construction 2's partition is one index array, the part of each element of R.
 Each sum of roots the two constructions rely on (construction 2's weights,
 every equation of construction 3's scheme) is checked as one
@@ -298,7 +299,7 @@ def construct_partition_bh(
         raise BadEtaSum(f"need {R.p ** t} roots, got {len(etas)}")
     if not SumWitness(h, tuple(etas), None).check():
         raise BadEtaSum("the supplied roots do not sum to zero")
-    G = ring_square_group(R)  # refuses a too-large R x R first
+    G = ring_square_group(R)
     # row x of the gather holds phi(x) y for every y: the entries (x, y), at x |R| + y
     e = np.array(etas)[partition_R(R, t, seed=seed)[R.mul_table[R.phi]]]
     return _self_checked(Unimodular(G, h, e))
@@ -338,7 +339,6 @@ def solve_coefficient_scheme(R: ChainRing, h: int) -> CoefficientScheme:
 
     if R.n < 2:
         raise UnsupportedRing("the line-family construction needs chain length >= 2")
-    ring_square_group(R)  # refuses a too-large R x R before the coset chain builds R's tables
     n, q = R.n, R.p**R.d
     A, T = R.add_table, R.mul_table
     chain = [level.tolist() for level in R.coset_chain()]

@@ -11,8 +11,8 @@ Array file::
     array h=<H> dims=n1,n2,...
     <numel/dims[-1] lines of dims[-1] exponents, row-major>
 
-An array file is a `Unimodular` over the factor-form group of its dims,
-`arrays.array_group(dims)`: its exponent vector `e` in rows of dims[-1].
+An array file is a `Unimodular` over `make_abelian(dims)` (from
+`arrays.array_group`): its exponent vector `e` in rows of dims[-1].
 `format_array` writes any element over an abelian group in factor form, and
 `read_array` keeps the body it reads as that element's `e`, with no copy.
 
@@ -21,17 +21,17 @@ Table file::
     order <N>
     <N lines of N space-separated elements, 0 the identity>
 
-Table paths are resolved relative to the matrix file's directory.  A header
-has exactly the keys shown, each as one key=value word, none repeated or
-missing, and an h whose h x h reduction matrix would not fit in physical
-memory is refused (`TooLarge`); all of it, a matrix's group and order too,
-is checked before the body is read.  A body is what the writers emit, rows
-of unsigned decimals (exponents below h) split by spaces or tabs, one row
-per LF or CRLF line, blank lines skipped; anything else is malformed.  Its
-lines stream from the open file through one byte guard into one `np.loadtxt`
-call, in `groups.exponent_dtype(h)` (`np.intp` for a table).  Both writers
-gather the strings of 0..h-1 over an exponent array and join its lines one
-row block (`groups.row_slices`) at a time.
+Table paths are resolved relative to the matrix file's directory.  A header has
+exactly the keys shown, each as one key=value word with an integer value (dims
+a list of them), none repeated or missing.  An h whose h x h reduction matrix,
+or a matrix whose group's table (`parse_group_spec`), would not fit in physical
+memory is refused (`TooLarge`), all before the body is read.  A body is what
+the writers emit, rows of unsigned decimals (exponents below h) split by spaces
+or tabs, one row per LF or CRLF line, blank lines skipped; anything else is
+malformed.  Its lines stream from the open file through one byte guard into one
+`np.loadtxt` call, in `groups.exponent_dtype(h)` (`np.intp` for a table).  Both
+writers gather the strings of 0..h-1 over an exponent array and join its lines
+one row block (`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ButsonError, NotAbelianFactored, NotAGroup, _check_fits
-from .groups import (FiniteGroup, Unimodular, _frozen, exponent_dtype, make_abelian, make_cyclic,
-                     make_from_table, make_semidirect, row_slices)
+from .groups import (FiniteGroup, Unimodular, _frozen, check_table_fits, exponent_dtype, make_abelian,
+                     make_cyclic, make_from_table, make_semidirect, row_slices)
 from .verify import BhMatrix
 
 
@@ -66,8 +66,8 @@ def _next_line(lines: Iterator[bytes]) -> bytes:
     return next((ln for ln in lines if ln.strip(b" \t") not in (b"", b"\n", b"\r\n", b"\r")), b"")
 
 
-def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str) -> tuple[int, str]:
-    """h and the value of the one other key of a data file's header line."""
+def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str, parse) -> tuple[int, object]:
+    """h and `parse` of the value of the one other key of a data file's header line."""
     words = _next_line(lines).decode().split()
     if words[:1] != [tag]:
         raise ButsonError(f"{path}: not {what} file")
@@ -80,11 +80,17 @@ def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str) -
         raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
     if missing := sorted({"h", key} - fields.keys()):
         raise ButsonError(f"{path}: missing header key {missing[0]!r}")
-    h, value = int(fields["h"]), fields[key]
-    if h < 1:
+
+    def value(k: str, parse=int):
+        try:
+            return parse(fields[k])
+        except ValueError:
+            raise ButsonError(f"{path}: bad header value {k}={fields[k]!r}") from None
+
+    if (h := value("h")) < 1:
         raise ButsonError(f"{path}: h must be positive, got {h}")
     _check_fits(h, f"{path}: the reduction matrix for h={h}")
-    return h, value
+    return h, value(key, parse)
 
 
 def _rows(lines: Iterator[bytes], shape: tuple[int, int], h: int | None = None) -> np.ndarray | None:
@@ -129,12 +135,15 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
     except ValueError:
         raise ButsonError(f"bad group descriptor {spec!r}") from None
     if kind == "abelian":
-        return make_abelian(nums)
-    if kind == "cyclic" and len(nums) == 1:
-        return make_cyclic(nums[0])
-    if kind == "semidirect" and len(nums) == 3:
-        return make_semidirect(*nums)
-    raise ButsonError(f"bad group descriptor {spec!r}")
+        G = make_abelian(nums)
+    elif kind == "cyclic" and len(nums) == 1:
+        G = make_cyclic(nums[0])
+    elif kind == "semidirect" and len(nums) == 3:
+        G = make_semidirect(*nums)
+    else:
+        raise ButsonError(f"bad group descriptor {spec!r}")
+    check_table_fits(G)  # a matrix over G is n x n, like its table
+    return G
 
 
 def _format(header: list[str], E: np.ndarray, h: int) -> str:
@@ -173,8 +182,7 @@ def _read_cayley_table(path: Path) -> np.ndarray:
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
     with _reading(path) as f:
-        h, order = _header(f, path, "bh", "a matrix", "order")
-        order = int(order)
+        h, order = _header(f, path, "bh", "a matrix", "order", int)
         group = parse_group_spec(_next_line(f).decode().strip(), base_dir=path.parent)
         if group.order != order:
             raise ButsonError(f"{path}: order header disagrees with the group")
@@ -199,8 +207,7 @@ def read_array(path: str | Path) -> Unimodular:
 
     path = Path(path)
     with _reading(path) as f:
-        h, dims = _header(f, path, "array", "an array", "dims")
-        dims = tuple(int(x) for x in dims.split(","))
+        h, dims = _header(f, path, "array", "an array", "dims", lambda v: tuple(map(int, v.split(","))))
         group = array_group(dims)
         shape = (group.order // dims[-1], dims[-1])
         if (E := _rows(f, shape, h)) is None:

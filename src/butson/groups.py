@@ -9,8 +9,7 @@ group either stores its table, if it was built from one, or computes its
 rows and its `inverse` in factor form: Z_f1 x ... x Z_fk, row-major, with
 an optional twist t that scales the right operand's first coordinate by t^j,
 which makes Z_m x|_t Z_k the factor form (m, k).  It builds `table` only
-when asked for it, which construction 1, `materialize`, the invariance
-check and the exact checks never do.  `inv` returns a Python int.
+when asked for it, which no command does.  `inv` returns a Python int.
 
 `row_slices` cuts an array into row blocks of about `BLOCK_CELLS` cells, the
 unit in which matrices are filled, checked and written.
@@ -19,7 +18,7 @@ A group-ring element with one h-th root of unity per element, which is what
 every construction builds, is a `Unimodular`: one read-only (order,)
 exponent vector `e` mod h of dtype `exponent_dtype(h)`, like `BhMatrix.E`,
 passed from constructor to array file with no conversion: an array file is
-a `Unimodular` over the factor-form group of its dims (`arrays`).  It is the
+a `Unimodular` over `make_abelian(dims)` (`arrays`).  It is the
 one element type of the library.  `GroupRingElt`, a
 tuple of `CycInt` coefficients, is kept for the benchmark's checker, and
 `as_unimodular` converts it; the group-ring arithmetic and the characters
@@ -30,11 +29,10 @@ one input that can fail them.  Associativity takes O(n^2 log n) by Light's
 test: the s with (x*y)*s = x*(y*s) for all x, y are closed under products,
 so checking greedily chosen generators, at most log2(n) of them and one n^2
 gather each, covers the group.  `make_abelian` and `make_semidirect` reject
-bad parameters, and orders whose table would not fit in physical memory
-(`TooLarge`, from `errors._check_fits`, which also bounds a root order h
-by its h x h reduction matrix and lives in `errors` so that `rings` and
-`sums` need not import this module), and then build groups by
-construction, so they skip the check.
+bad parameters, build groups by construction, so they skip the check, and
+refuse no order.  `check_table_fits` refuses (`TooLarge`) an n x n table
+that would not fit in physical memory: `table` calls it before it builds
+one, and so does the matrix route before it holds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -77,7 +75,10 @@ class FiniteGroup:
 
     @cached_property
     def table(self) -> np.ndarray:  # read-only (order, order) np.intp; table[a, b] = a*b
-        return self.stored if self.stored is not None else _frozen(self.rows(slice(None)))
+        if self.stored is not None:
+            return self.stored
+        check_table_fits(self)
+        return _frozen(self.rows(slice(None)))
 
     @cached_property
     def inverse(self) -> np.ndarray:  # read-only (order,) np.intp
@@ -101,6 +102,11 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+
+def check_table_fits(G: FiniteGroup) -> None:
+    """Refuse G's Cayley table, 8n^2 bytes, if it exceeds physical memory: the one rule for an n x n array."""
+    _check_fits(G.order, f"the Cayley table of {G.descriptor} (order {G.order})")
 
 
 def _sum_rows(factors: tuple[int, ...], r: np.ndarray, scale: np.ndarray | int = 1) -> np.ndarray:
@@ -181,12 +187,8 @@ def make_abelian(factors) -> FiniteGroup:
     factors = tuple(int(f) for f in factors)
     if not factors or any(f < 1 for f in factors):
         raise InvalidParams(f"abelian factors must be positive, got {factors}")
-    desc = "abelian " + ",".join(str(f) for f in factors)
-    if len(factors) == 1:
-        desc = f"cyclic {factors[0]}"
-    order = math.prod(factors)
-    _check_fits(order, f"the Cayley table of {desc} (order {order})")
-    return FiniteGroup(order, desc, factors)
+    desc = f"cyclic {factors[0]}" if len(factors) == 1 else "abelian " + ",".join(map(str, factors))
+    return FiniteGroup(math.prod(factors), desc, factors)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -199,7 +201,6 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
         raise InvalidAction("m and k must be positive")
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
-    _check_fits(m * k, f"the Cayley table of semidirect {m},{k},{t} (order {m * k})")
     return FiniteGroup(m * k, f"semidirect {m},{k},{t}", (m, k), t)
 
 

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from butson.arrays import array_group
@@ -137,6 +138,14 @@ def test_arrays_beyond_numpy_axes_are_refused(tmp_path):
     path.write_text("array h=2 dims=" + ",".join(["1"] * 65) + "\n0\n")
     with pytest.raises(InvalidParams, match="at most 64 axes"):
         read_array(path)
+
+
+@pytest.mark.parametrize("dims", [(1,), (7,), (2, 3), (4, 1, 3), (3, 3, 3, 3), (2,) * 16, (1,) * 64])
+def test_array_group_is_make_abelian(dims):
+    A, G = array_group(dims), make_abelian(dims)
+    assert (A.order, A.abelian_factors) == (G.order, G.abelian_factors) == (math.prod(dims), dims)
+    picks = np.unique([0, G.order // 3, G.order // 2, G.order - 1])
+    assert np.array_equal(A.rows(picks), G.rows(picks)) and np.array_equal(A.inverse, G.inverse)
 
 
 @pytest.mark.parametrize("dims", [(0,), (2, 0), (-1,), (-2, -1)])

@@ -304,19 +304,16 @@ def test_partition_bh_rejects_bad_etas():
         construct_partition_bh(R, 1, [0, 1, 0], 2)  # wrong count
 
 
-def test_constructions_over_r_x_r_refuse_its_table_before_their_loops(monkeypatch):
-    R = chain_ring("galois", 3, 1, 2)  # R x R has order 81: a 52 488-byte table
-    scheme = solve_coefficient_scheme(R, 6)
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("partition_R ran before the R x R bound")
-
-    monkeypatch.setattr(construct, "partition_R", unreachable)
+def test_constructions_over_r_x_r_build_below_its_table(monkeypatch):
+    # 50 000 bytes: R's 9 x 9 tables fit, R x R's 81 x 81 table (52 488 bytes) does not
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 50000, "SC_PAGE_SIZE": 1}.__getitem__)
-    with pytest.raises(TooLarge, match="order 81"):
-        construct_partition_bh(R, 1, list(zero_sum(3, 3).exps), 3)
-    with pytest.raises(TooLarge, match="order 81"):
-        construct_line_bh(R, scheme)
+    R = chain_ring("galois", 3, 1, 2)
+    partition = construct_partition_bh(R, 1, list(zero_sum(3, 3).exps), 3)
+    lines = construct_line_bh(R, solve_coefficient_scheme(R, 6))
+    for D in (partition, lines):
+        assert D.group.order == 81 and verify_group_ring(D)
+        with pytest.raises(TooLarge, match="order 81"):
+            D.group.table
 
 
 # --- lines ------------------------------------------------------------------

@@ -100,6 +100,13 @@ _BAD_HEADERS = [  # text, reader, match
     ("array h=2 dims=2 junk\n0 1\n", fileio.read_array, "bad header field 'junk'$"),
     ("array h=2\n0 1\n", fileio.read_array, "missing header key 'dims'$"),
     ("array dims=2\n0 1\n", fileio.read_array, "missing header key 'h'$"),
+    # a value that is not an integer is named too
+    ("bh h=two order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "bad header value h='two'$"),
+    ("bh h=2 order=x\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "bad header value order='x'$"),
+    ("bh h=2 order=2,2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, "bad header value order='2,2'$"),
+    ("array h=two dims=2\n0 1\n", fileio.read_array, "bad header value h='two'$"),
+    ("array h=2 dims=2,,3\n0 1\n", fileio.read_array, "bad header value dims='2,,3'$"),
+    ("array h=2 dims=\n0 1\n", fileio.read_array, "bad header value dims=''$"),
 ]
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson import groups
+from butson import errors, groups
 from butson.construct import _right_cosets, find_normal_cyclic_generator
 from butson.cyclotomic import CycInt, is_zero
 from butson.errors import InvalidAction, InvalidParams, NotAGroup, NotNormal, TooLarge, WrongSubgroupOrder
@@ -410,14 +411,43 @@ def test_semidirect_rows_and_inverse_match_the_broadcast_table():
         assert np.array_equal(G.table, table) and not G.table.flags.writeable, (m, k, t)
 
 
-def test_builders_refuse_tables_beyond_physical_memory(monkeypatch):
-    # a machine with 60000 bytes holds the 81^2 * 8 bytes of Z_81, not Z_100
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 60000, "SC_PAGE_SIZE": 1}.__getitem__)
-    assert make_cyclic(81).order == 81
-    with pytest.raises(TooLarge, match="order 100"):
-        make_abelian([10, 10])
-    with pytest.raises(TooLarge):
-        make_semidirect(25, 4, 7)
+def _order_65536_products(a: np.ndarray, b: np.ndarray) -> dict:
+    """a*b in each order-65536 group below, by its formula."""
+    i, j, i2, j2 = a // 4, a % 4, b // 4, b % 4  # (i, j)(i', j') = (i + (-1)^j i', j + j') in Z_16384 x| Z_4
+    return {
+        "abelian 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": a ^ b,
+        "cyclic 65536": (a + b) % 65536,
+        "semidirect 16384,4,16383": (i + (-1) ** j * i2) % 16384 * 4 + (j + j2) % 4,
+    }
+
+
+def test_builders_of_order_65536_refuse_only_their_table(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a builder checked a size")
+
+    with monkeypatch.context() as spy:
+        spy.setattr(groups, "_check_fits", unreachable)
+        spy.setattr(groups, "check_table_fits", unreachable)
+        built = [make_abelian([2] * 16), make_cyclic(65536), make_semidirect(16384, 4, 16383)]
+    picks = np.array([0, 1, 2, 3, 4, 5, 777, 40000, 65535])
+    for G in built:
+        products = _order_65536_products(picks[:, None], np.arange(65536))[G.descriptor]
+        assert G.order == 65536 and np.array_equal(G.rows(picks), products), G.descriptor
+        assert not G.rows(picks)[np.arange(len(picks)), G.inverse[picks]].any(), G.descriptor
+    # a machine with 10^6 bytes has no room for the 65536^2 * 8 bytes of each table
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 10**6)
+    for G in built:
+        with pytest.raises(TooLarge, match=re.escape(
+                f"the Cayley table of {G.descriptor} (order 65536) would not fit in physical memory")):
+            G.table
+
+
+def test_a_stored_table_is_returned_whatever_the_memory(monkeypatch):
+    G = make_from_table(make_cyclic(12).table)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1)
+    assert np.array_equal(G.table, make_cyclic(12).rows(slice(None)))
+    with pytest.raises(TooLarge, match=r"cyclic 12 \(order 12\)"):
+        make_cyclic(12).table
 
 
 def test_builders_skip_the_memory_bound_where_sysconf_cannot_tell(monkeypatch):
