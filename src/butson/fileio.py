@@ -22,16 +22,20 @@ Table file::
     <N lines of N space-separated elements, 0 the identity>
 
 Table paths are resolved relative to the matrix file's directory.  A header has
-exactly the keys shown, each as one key=value word with an integer value (dims
-a list of them), none repeated or missing.  An h whose h x h reduction matrix,
-or a matrix whose group's table (`parse_group_spec`), would not fit in physical
-memory is refused (`TooLarge`), all before the body is read.  A body is what
-the writers emit, rows of unsigned decimals (exponents below h) split by spaces
-or tabs, one row per LF or CRLF line, blank lines skipped; anything else is
-malformed.  Its lines stream from the open file through one byte guard into one
-`np.loadtxt` call, in `groups.exponent_dtype(h)` (`np.intp` for a table).  Both
-writers gather the strings of 0..h-1 over an exponent array and join its lines
-one row block (`groups.row_slices`) at a time.
+exactly the keys shown, each as one key=value word (dims a comma-separated
+list), none repeated or missing; a table header is exactly `order n`.  Every
+number in a file, header, descriptor or body, is an unsigned ASCII decimal
+(`_decimal`).  Header and descriptor lines decode as ASCII, any other byte as
+a lone surrogate (which a file name keeps), so none is dropped, raises, or
+passes for a digit or a space.  An h whose h x h reduction matrix, or a group
+whose n x n table, would not fit in physical memory is refused (`TooLarge`),
+all before the body is read.  A body is rows of numbers (exponents below h)
+split by spaces or tabs, one row per LF or CRLF line, blank lines skipped;
+anything else is malformed.  A file is read in one pass, its body streamed
+through one byte guard into one `np.loadtxt` call, in `groups.exponent_dtype(h)`
+(`np.intp` for a table), and every error met while it is open names it
+(`_reading`).  Both writers gather the strings of 0..h-1 over an exponent array
+and join its lines one row block (`groups.row_slices`) at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .verify import BhMatrix
 
 @contextmanager
 def _reading(path: Path):
-    """The file at `path`, open in binary mode; an unreadable or malformed one is a ButsonError naming it."""
+    """The file at `path`, open in binary mode; every error while it is open is a ButsonError naming it."""
     try:
         with path.open("rb") as f:
             yield f
@@ -59,6 +63,8 @@ def _reading(path: Path):
         raise ButsonError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ButsonError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None
+    except ButsonError as exc:  # as its own type, which callers and the CLI's exit code tell apart
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _next_line(lines: Iterator[bytes]) -> bytes:
@@ -66,30 +72,37 @@ def _next_line(lines: Iterator[bytes]) -> bytes:
     return next((ln for ln in lines if ln.strip(b" \t") not in (b"", b"\n", b"\r\n", b"\r")), b"")
 
 
-def _header(lines: Iterator[bytes], path: Path, tag: str, what: str, key: str, parse) -> tuple[int, object]:
+def _decimal(word: str) -> int:
+    """word if an unsigned ASCII decimal, the one number grammar of every file; else ValueError (isdigit takes '²')."""
+    if not (word.isascii() and word.isdigit()):
+        raise ValueError(f"not an unsigned decimal: {word!r}")
+    return int(word)
+
+
+def _header(lines: Iterator[bytes], tag: str, what: str, key: str, parse) -> tuple[int, object]:
     """h and `parse` of the value of the one other key of a data file's header line."""
-    words = _next_line(lines).decode().split()
+    words = _next_line(lines).decode("ascii", "surrogateescape").split()
     if words[:1] != [tag]:
-        raise ButsonError(f"{path}: not {what} file")
+        raise ButsonError(f"not {what} file")
     if bad := [kv for kv in words[1:] if kv.count("=") != 1]:
-        raise ButsonError(f"{path}: bad header field {bad[0]!r}")
+        raise ButsonError(f"bad header field {bad[0]!r}")
     pairs = [kv.split("=") for kv in words[1:]]
     if len(fields := dict(pairs)) != len(pairs):
-        raise ButsonError(f"{path}: repeated header key")
+        raise ButsonError("repeated header key")
     if unknown := sorted(fields.keys() - {"h", key}):
-        raise ButsonError(f"{path}: unknown header key {unknown[0]!r}")
+        raise ButsonError(f"unknown header key {unknown[0]!r}")
     if missing := sorted({"h", key} - fields.keys()):
-        raise ButsonError(f"{path}: missing header key {missing[0]!r}")
+        raise ButsonError(f"missing header key {missing[0]!r}")
 
-    def value(k: str, parse=int):
+    def value(k: str, parse=_decimal):
         try:
             return parse(fields[k])
         except ValueError:
-            raise ButsonError(f"{path}: bad header value {k}={fields[k]!r}") from None
+            raise ButsonError(f"bad header value {k}={fields[k]!r}") from None
 
     if (h := value("h")) < 1:
-        raise ButsonError(f"{path}: h must be positive, got {h}")
-    _check_fits(h, f"{path}: the reduction matrix for h={h}")
+        raise ButsonError(f"h must be positive, got {h}")
+    _check_fits(h, f"the reduction matrix for h={h}")
     return h, value(key, parse)
 
 
@@ -121,17 +134,11 @@ def parse_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         raise ButsonError(f"bad group descriptor {spec!r}")
     kind, arg = parts[0], parts[1].strip()
     if kind == "table":
-        path = Path(arg)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        try:
-            return make_from_table(_read_cayley_table(path), descriptor=f"table {arg}")
-        except NotAGroup as exc:
-            raise NotAGroup(f"{path}: {exc}") from None
+        return _read_table_group(Path(base_dir or "", arg), f"table {arg}")  # an absolute arg replaces base_dir
     if kind not in ("cyclic", "abelian", "semidirect"):
         raise ButsonError(f"unknown group kind {kind!r}")
     try:
-        nums = [int(x) for x in arg.split(",")]
+        nums = [_decimal(x.strip()) for x in arg.split(",")]
     except ValueError:
         raise ButsonError(f"bad group descriptor {spec!r}") from None
     if kind == "abelian":
@@ -158,36 +165,31 @@ def format_matrix(M: BhMatrix) -> str:
     return _format([f"bh h={M.h} order={M.group.order}", M.group.descriptor], M.E, M.h)
 
 
-def _read_cayley_table(path: Path) -> np.ndarray:
-    """The (n, n) body of a table file: a line 'order n', then n rows of n integers."""
+def _read_table_group(path: Path, descriptor: str) -> FiniteGroup:
+    """The group of a table file: a line 'order n', its table refused unless it fits, then n rows of n integers."""
     with _reading(path) as f:
-        head = _next_line(f).decode().split() or [""]
-        if not head[0].startswith("order"):
-            raise NotAGroup("cayley table file must start with 'order n'")
+        words = _next_line(f).decode("ascii", "surrogateescape").split()
         try:
-            n = int(head[1])
-        except (IndexError, ValueError):
-            raise NotAGroup("cayley table needs 'order n' and rows of integers") from None
+            (n,) = map(_decimal, words[1:]) if words[:1] == ["order"] else ()  # 'order' and one number
+        except ValueError:
+            raise NotAGroup("cayley table file must start with 'order n'") from None
         if n < 1:
             raise NotAGroup(f"cayley table order must be positive, got {n}")
-        if (rows := _rows(f, (n, n))) is not None:
-            return rows
-    with _reading(path) as f:  # read again only to choose the message
-        counts = [c for ln in f if (c := len(ln.split()))][1:]  # tokens per line below the header
-    if len(counts) != n or set(counts) - {n}:
-        raise NotAGroup(f"expected {n} rows of {n} entries")
-    raise NotAGroup("cayley table needs 'order n' and rows of integers")
+        _check_fits(n, f"the Cayley table of {descriptor} (order {n})")  # check_table_fits's rule, before any row
+        if (rows := _rows(f, (n, n))) is None:
+            raise NotAGroup(f"cayley table needs 'order n' and rows of integers: expected {n} rows of {n} entries")
+        return make_from_table(rows, descriptor)
 
 
 def read_matrix(path: str | Path) -> BhMatrix:
     path = Path(path)
     with _reading(path) as f:
-        h, order = _header(f, path, "bh", "a matrix", "order", int)
-        group = parse_group_spec(_next_line(f).decode().strip(), base_dir=path.parent)
+        h, order = _header(f, "bh", "a matrix", "order", _decimal)
+        group = parse_group_spec(_next_line(f).decode("ascii", "surrogateescape").strip(), base_dir=path.parent)
         if group.order != order:
-            raise ButsonError(f"{path}: order header disagrees with the group")
+            raise ButsonError("order header disagrees with the group")
         if (E := _rows(f, (order, order), h)) is None:
-            raise ButsonError(f"{path}: expected {order} rows of {order} exponents, each an integer")
+            raise ButsonError(f"expected {order} rows of {order} exponents, each an integer")
     return BhMatrix(h, group, E)
 
 
@@ -207,9 +209,9 @@ def read_array(path: str | Path) -> Unimodular:
 
     path = Path(path)
     with _reading(path) as f:
-        h, dims = _header(f, path, "array", "an array", "dims", lambda v: tuple(map(int, v.split(","))))
+        h, dims = _header(f, "array", "an array", "dims", lambda v: tuple(map(_decimal, v.split(","))))
         group = array_group(dims)
         shape = (group.order // dims[-1], dims[-1])
         if (E := _rows(f, shape, h)) is None:
-            raise ButsonError(f"{path}: expected {shape[0]} rows of {shape[1]} exponents, each an integer")
+            raise ButsonError(f"expected {shape[0]} rows of {shape[1]} exponents, each an integer")
     return Unimodular(group, h, E)

@@ -201,13 +201,14 @@ def make_semidirect(m: int, k: int, t: int) -> FiniteGroup:
         raise InvalidAction("m and k must be positive")
     if math.gcd(t, m) != 1 or pow(t, k, m) != 1 % m:
         raise InvalidAction(f"action t={t} invalid: need gcd(t,m)=1 and t^k=1 mod m")
-    return FiniteGroup(m * k, f"semidirect {m},{k},{t}", (m, k), t)
+    return FiniteGroup(m * k, f"semidirect {m},{k},{t % m}", (m, k), t % m)  # t as a file holds it, in 0..m-1
 
 
 def make_from_table(table, descriptor: str = "table -") -> FiniteGroup:
-    """Validate an explicit Cayley table; rejected unless the axioms pass."""
+    """Validate an explicit Cayley table; rejected unless the axioms pass.  A read-only np.intp table is not copied."""
+    kept = isinstance(table, np.ndarray) and table.dtype == np.intp and not table.flags.writeable
     try:
-        arr = np.array(table, dtype=np.intp)
+        arr = table if kept else np.array(table, dtype=np.intp)
     except OverflowError:
         raise NotAGroup("table entries out of range") from None
     _check_axioms(arr)

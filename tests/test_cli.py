@@ -120,6 +120,10 @@ _MALFORMED = {
     "repeated-h": (lambda valid: valid.replace("h=236", "h=236 h=5", 1), ["verify", "{file}"]),
     "array-unknown-key": ("array h=2 dims=1 dim=7\n0\n", ["verify-array", "{file}"]),
     "bh-unknown-key": ("bh h=2 order=1 colour=blue\ncyclic 1\n0\n", ["verify", "{file}"]),
+    # numbers are unsigned ASCII decimals everywhere, and no byte leaks a Python error
+    "descriptor-plus-2": ("bh h=2 order=2\ncyclic +2\n0 0\n0 1\n", ["verify", "{file}"]),
+    "non-ascii-header": ("bh h=\u0662 order=2\ncyclic 2\n0 0\n0 1\n", ["verify", "{file}"]),
+    "undecodable-header": (b"\x00\xff\xfe\n", ["verify", "{file}"]),
 }
 
 
@@ -131,10 +135,11 @@ def test_malformed_input_exits_2(case, tmp_path, monkeypatch, capsys):
         assert run("construct", "group", "--order", "118", "--h", "236", "--out", "c118.bh") == 0
         text = text((tmp_path / "c118.bh").read_text())
     if text is not None:
-        (tmp_path / "input.txt").write_text(text)
+        (tmp_path / "input.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
     # main must return, not raise
     assert run(*(a.format(file=tmp_path / "input.txt") for a in argv)) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ValueError" not in err and "DecodeError" not in err, err
 
 
 def test_self_check_failure_exits_1(monkeypatch, capsys):

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from butson import fileio
+from butson import errors, fileio
 from butson.arrays import array_group
 from butson.construct import block_count, construct_group_bh, find_normal_cyclic_generator, min_h
-from butson.errors import ButsonError, InvalidParams, NotAGroup
-from butson.groups import GroupRingElt, Unimodular, exponent_dtype, make_abelian, make_cyclic
+from butson.errors import ButsonError, InvalidParams, NotAGroup, TooLarge
+from butson.groups import GroupRingElt, Unimodular, exponent_dtype, make_abelian, make_cyclic, make_semidirect
 from butson.verify import BhMatrix, materialize, verify_bh, verify_group_ring
 
 from conftest import quaternion_table
@@ -107,6 +107,13 @@ _BAD_HEADERS = [  # text, reader, match
     ("array h=two dims=2\n0 1\n", fileio.read_array, "bad header value h='two'$"),
     ("array h=2 dims=2,,3\n0 1\n", fileio.read_array, "bad header value dims='2,,3'$"),
     ("array h=2 dims=\n0 1\n", fileio.read_array, "bad header value dims=''$"),
+    # every number is an unsigned ASCII decimal, as in a body: Python's int() would take these
+    # (a non-ASCII byte is named by its escape: U+0662 is UTF-8 d9 a2)
+    ("bh h=\u0662 order=2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, r"bad header value h='\\udcd9\\udca2'$"),
+    ("bh h=2 order=+2\ncyclic 2\n0 0\n0 1\n", fileio.read_matrix, r"bad header value order='\+2'$"),
+    ("array h=1_0 dims=2\n0 1\n", fileio.read_array, "bad header value h='1_0'$"),
+    ("array h=2 dims=+2\n0 1\n", fileio.read_array, r"bad header value dims='\+2'$"),
+    ("array h=2 dims=2,\u00b2\n0 1\n", fileio.read_array, r"bad header value dims='2,\\udcc2\\udcb2'$"),
 ]
 
 
@@ -239,8 +246,13 @@ def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
 @pytest.mark.parametrize("text, message", [
     ("", "must start with 'order n'"),
     ("size 2\n0 1\n1 0", "must start with 'order n'"),
-    ("order\n0", "needs 'order n' and rows of integers"),
-    ("order two\n0 1\n1 0", "needs 'order n' and rows of integers"),
+    ("order\n0", "must start with 'order n'"),
+    ("order two\n0 1\n1 0", "must start with 'order n'"),
+    # the header is exactly 'order' and an unsigned ASCII decimal
+    ("orderly 2\n0 1\n1 0", "must start with 'order n'"),
+    ("order 2 junk\n0 1\n1 0", "must start with 'order n'"),
+    ("order +2\n0 1\n1 0", "must start with 'order n'"),
+    ("order \u0662\n0 1\n1 0", "must start with 'order n'"),
     ("order 2\n0 1", "expected 2 rows of 2 entries"),
     ("order 2\n0 1\n1", "expected 2 rows of 2 entries"),
     ("order 2\n0 1 0\n1 0 1", "expected 2 rows of 2 entries"),
@@ -250,7 +262,7 @@ def test_group_descriptors_raise_only_butson_errors(tmp_path, spec, table):
     ("order 2\n0 1\n1_0 0", "needs 'order n' and rows of integers"),
     ("order 2\n0 1\n1 99999999999999999999", "needs 'order n' and rows of integers"),
     ("order 0", "order must be positive, got 0"),
-    ("order -1\n0", "order must be positive, got -1"),
+    ("order -1\n0", "must start with 'order n'"),
     ("order 2\n0 1\n1 2", "table entries out of range"),
     ("order 2\n0 1\n0 1", "element 0 is not a two-sided identity"),
 ])
@@ -268,6 +280,44 @@ def test_table_file_body_may_carry_tabs_and_blank_lines(tmp_path):
     (tmp_path / "t.txt").write_text("order 3\n+0 1 2\n1 2 0\n2 0 +1\n", encoding="utf-8")
     with pytest.raises(NotAGroup, match="needs 'order n' and rows of integers"):
         fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
+
+
+def test_table_size_is_refused_before_its_body(tmp_path, monkeypatch):
+    # a garbage body would be malformed: the size refusal comes first, in check_table_fits's words
+    (tmp_path / "t.txt").write_text("order 1000\nnot a table\n", encoding="utf-8")
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1000 * 1000 * 8 - 1)
+    message = "the Cayley table of table t.txt (order 1000) would not fit in physical memory"
+    with pytest.raises(TooLarge, match=re.escape(f"{tmp_path / 't.txt'}: {message}") + "$"):
+        fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1000 * 1000 * 8)
+    with pytest.raises(NotAGroup, match="expected 1000 rows of 1000 entries$"):
+        fileio.parse_group_spec("table:t.txt", base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"\x00\xff\xfe\n", "m.bh: not a matrix file$"),
+    (b"bh h=\xff2 order=1\ncyclic 1\n0\n", r"m.bh: bad header value h='\\udcff2'$"),
+    (b"bh h=2 order=1\ncyclic \xff1\n0\n", r"m.bh: bad group descriptor 'cyclic \\udcff1'$"),
+    (b"bh h=2 order=1\ntable t.txt\n0\n", r"m.bh: .*t.txt: cayley table file must start with 'order n'$"),
+    # nor does a non-ASCII space separate words: U+00A0 in UTF-8
+    (b"bh\xc2\xa0h=2 order=1\ncyclic 1\n0\n", "m.bh: not a matrix file$"),
+    (b"bh h=2 order=1\ncyclic\xc2\xa01\n0\n", r"m.bh: bad group descriptor 'cyclic\\udcc2\\udca01'$"),
+], ids=["header", "header-value", "descriptor", "table-header", "nbsp-header", "nbsp-descriptor"])
+def test_non_ascii_bytes_reach_the_grammar(tmp_path, data, match):
+    # a byte that is not ASCII is kept as a lone surrogate, which no number, word or space of the grammar is
+    (tmp_path / "t.txt").write_bytes(b"order \xff1\n0\n")
+    (tmp_path / "m.bh").write_bytes(data)
+    with pytest.raises(ButsonError, match=match):
+        fileio.read_matrix(tmp_path / "m.bh")
+
+
+@pytest.mark.parametrize("name", [b"t\xc3\xa9.txt", b"t\xff.txt"], ids=["utf-8", "not-utf-8"])
+def test_table_paths_keep_their_bytes(tmp_path, name):
+    # each non-ASCII byte of the descriptor line is kept as a file name keeps it, so any name resolves
+    (tmp_path / os.fsdecode(name)).write_text("order 2\n0 1\n1 0\n", encoding="utf-8")
+    (tmp_path / "m.bh").write_bytes(b"bh h=2 order=2\ntable " + name + b"\n0 0\n0 1\n")
+    G = fileio.read_matrix(tmp_path / "m.bh").group
+    assert same_as(G, make_cyclic(2)) and G.descriptor.encode(errors="surrogateescape") == b"table " + name
 
 
 def test_non_ascii_body_exits_2_without_crashing(tmp_path):
@@ -426,6 +476,9 @@ def test_parse_group_spec_forms():
     assert fileio.parse_group_spec("cyclic 6").order == 6
     assert fileio.parse_group_spec("abelian 2,3").order == 6
     assert fileio.parse_group_spec("semidirect:4,2,3").order == 8
+    assert fileio.parse_group_spec("semidirect: 2, 2, 1").order == 4  # spaces around a comma separate
+    # the descriptor a builder writes is one the reader takes: t in 0..m-1, never negative
+    assert fileio.parse_group_spec(make_semidirect(4, 2, -1).descriptor).descriptor == "semidirect 4,2,3"
     with pytest.raises(ButsonError):
         fileio.parse_group_spec("simple 60")
     with pytest.raises(ButsonError):

@@ -102,6 +102,15 @@ def test_tables_are_read_only_and_mul_returns_int(q8_table):
         assert type(group_mul(G, 1, 2)) is int and type(G.inv(1)) is int
 
 
+def test_make_from_table_keeps_a_read_only_intp_table(q8_table):
+    # a table as fileio reads it is validated in place; any other one is copied, so it is never frozen
+    kept = np.array(q8_table, dtype=np.intp)
+    kept.flags.writeable = False
+    assert make_from_table(kept).table is kept
+    writable = np.array(q8_table, dtype=np.intp)
+    assert not np.shares_memory(make_from_table(writable).table, writable) and writable.flags.writeable
+
+
 def _normal_by_definition(G, sub):
     members = set(sub)
     return all(group_mul(G, group_mul(G, x, s), G.inv(x)) in members for x in G.elements() for s in sub)
